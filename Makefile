@@ -65,8 +65,8 @@ bench-json:
 	dune exec bench/main.exe -- --json
 
 # CI-speed structural run of the same code path: one small scale, fewer
-# reps, writes BENCH_perf.smoke.json and exits non-zero if the v5 schema
-# validation fails, batched fails to beat nested iteration on the
+# reps, writes BENCH_perf.smoke.json and exits non-zero if the file does
+# not parse as JSON, the v5 schema validation fails, batched fails to beat nested iteration on the
 # rewrite-refused skewed type-JA cell, indexed nested iteration fails to
 # beat the unindexed enumeration on physical I/O in the crossover sweep,
 # or no crossover cell picks the untransformed indexed strategy.  Not a

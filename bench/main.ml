@@ -10,6 +10,7 @@ module Value = Relalg.Value
 module Relation = Relalg.Relation
 module Catalog = Storage.Catalog
 module Pager = Storage.Pager
+module Json = Relalg.Json
 module F = Workload.Fixtures
 module G = Workload.Gen
 open Optimizer
@@ -714,15 +715,6 @@ let time_io catalog run =
   let wall = Unix.gettimeofday () -. t0 in
   (result, wall, Pager.diff_since pager before)
 
-(* Minimal JSON emitters — the values are all numbers and fixed strings. *)
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields) ^ "}"
-
-let json_arr items = "[" ^ String.concat "," items ^ "]"
-let json_str s = Printf.sprintf "%S" s
-let json_f x = Printf.sprintf "%.6f" x
-let json_i i = string_of_int i
-
 (* Warm-up + median-of-k timing.  Every sample runs on a {e fresh} catalog
    (cold pager, fresh temps — [run_program] registers temps under fixed
    names, so reps must not share state); the parse and the NEST-G rewrite
@@ -766,15 +758,15 @@ let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
   median_sample (List.init reps (fun _ -> once ()))
 
 let strategy_json ~name ~engine { s_rows; s_wall; s_io = io } =
-  json_obj
+  Json.Obj
     [
-      ("name", json_str name);
-      ("engine", json_str engine);
-      ("wall_s", json_f s_wall);
-      ("logical_reads", json_i io.Pager.logical_reads);
-      ("physical_reads", json_i io.Pager.physical_reads);
-      ("physical_writes", json_i io.Pager.physical_writes);
-      ("rows", json_i s_rows);
+      ("name", Str name);
+      ("engine", Str engine);
+      ("wall_s", Float s_wall);
+      ("logical_reads", Int io.Pager.logical_reads);
+      ("physical_reads", Int io.Pager.physical_reads);
+      ("physical_writes", Int io.Pager.physical_writes);
+      ("rows", Int s_rows);
     ]
 
 (* The grid: 100 parts, SUPPLY scaling 500 -> 10000 rows.  Each transformed
@@ -824,19 +816,19 @@ let json_grid ~scales ~warmup ~reps () =
             supply_rows,
             hybrid_speedup,
             vec_speedup,
-            json_obj
+            Json.Obj
               [
-                ("query", json_str kind);
-                ("n_parts", json_i n_parts);
-                ("supply_rows", json_i supply_rows);
-                ("buffer_pages", json_i buffer_pages);
-                ("page_bytes", json_i page_bytes);
-                ("timing", json_obj
-                   [ ("warmup", json_i warmup); ("reps", json_i reps);
-                     ("stat", json_str "median") ]);
-                ("strategies", json_arr strategies);
-                ("hybrid_speedup_vs_paper", json_f hybrid_speedup);
-                ("vectorized_speedup_vs_tuple", json_f vec_speedup);
+                ("query", Str kind);
+                ("n_parts", Int n_parts);
+                ("supply_rows", Int supply_rows);
+                ("buffer_pages", Int buffer_pages);
+                ("page_bytes", Int page_bytes);
+                ("timing", Obj
+                   [ ("warmup", Int warmup); ("reps", Int reps);
+                     ("stat", Str "median") ]);
+                ("strategies", List strategies);
+                ("hybrid_speedup_vs_paper", Float hybrid_speedup);
+                ("vectorized_speedup_vs_tuple", Float vec_speedup);
               ] ))
         scales)
     sweep_queries
@@ -867,17 +859,17 @@ let json_pager_scaling () =
     List.fold_left Float.max 0. ns /. List.fold_left Float.min infinity ns
   in
   ( flatness,
-    json_obj
+    Json.Obj
       [
-        ("touches", json_i touches);
+        ("touches", Int touches);
         ( "points",
-          json_arr
+          List
             (List.map
                (fun (b, ns) ->
-                 json_obj
-                   [ ("buffer_pages", json_i b); ("ns_per_touch", json_f ns) ])
+                 Json.Obj
+                   [ ("buffer_pages", Int b); ("ns_per_touch", Float ns) ])
                points) );
-        ("flatness_max_over_min", json_f flatness);
+        ("flatness_max_over_min", Float flatness);
       ] )
 
 (* Per-operator breakdowns: one instrumented hybrid-mode run per query kind
@@ -906,20 +898,20 @@ let json_operator_breakdowns ~supply_per_part () =
             Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true ~engine
               catalog program
           in
-          json_obj
+          Json.Obj
             [
-              ("query", json_str kind);
-              ("engine", json_str (Exec.Plan.engine_name engine));
-              ("n_parts", json_i n_parts);
-              ("supply_rows", json_i (n_parts * supply_per_part));
+              ("query", Str kind);
+              ("engine", Str (Exec.Plan.engine_name engine));
+              ("n_parts", Int n_parts);
+              ("supply_rows", Int (n_parts * supply_per_part));
               ( "segments",
-                json_arr
+                List
                   (List.map
                      (fun (s : Planner.explained) ->
-                       json_obj
+                       Json.Obj
                          [
-                           ("label", json_str s.Planner.seg_label);
-                           ("plan", s.Planner.seg_json);
+                           ("label", Str s.Planner.seg_label);
+                           ("plan", s.Planner.seg_tree);
                          ])
                      segs) );
             ])
@@ -1027,15 +1019,15 @@ let json_batched_comparison ~scales ~warmup ~reps () =
             | None -> []
           in
           let cell =
-            json_obj
+            Json.Obj
               [
-                ("query", json_str kind);
-                ("n_parts", json_i n_parts);
-                ("supply_rows", json_i n_supply);
-                ("key_range", json_i key_range);
-                ("rewrite_refused", if refused then "true" else "false");
-                ("strategies", json_arr strategies);
-                ("batched_speedup_vs_nested", json_f speedup);
+                ("query", Str kind);
+                ("n_parts", Int n_parts);
+                ("supply_rows", Int n_supply);
+                ("key_range", Int key_range);
+                ("rewrite_refused", Bool refused);
+                ("strategies", List strategies);
+                ("batched_speedup_vs_nested", Float speedup);
               ]
           in
           let beats = (not refused) || batched.s_wall < nested.s_wall in
@@ -1118,18 +1110,18 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
       match est_nested with Some c -> c < floor | None -> false
     in
     let cell_json =
-      json_obj
+      Json.Obj
         [
-          ("query", json_str kind);
-          ("outer_rows", json_i n_parts);
-          ("supply_rows", json_i supply_rows);
-          ("key_range", json_i key_range);
+          ("query", Str kind);
+          ("outer_rows", Int n_parts);
+          ("supply_rows", Int supply_rows);
+          ("key_range", Int key_range);
           ( "est_nested_cost",
-            match est_nested with Some c -> json_f c | None -> "null" );
-          ("transformed_floor", json_f floor);
-          ("picked", json_str (if picks_nested then "nested" else "transformed"));
+            match est_nested with Some c -> Float c | None -> Null );
+          ("transformed_floor", Float floor);
+          ("picked", Str (if picks_nested then "nested" else "transformed"));
           ( "strategies",
-            json_arr
+            List
               [
                 strategy_json ~name:"indexed_nested" ~engine:"tuple" indexed;
                 strategy_json ~name:"unindexed_nested" ~engine:"tuple"
@@ -1154,9 +1146,9 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
     crossover_queries
 
 (* Structural v5 schema check on the serialized document: every required
-   key must appear.  Substring-based — the emitter writes fixed key
-   strings, so this is exact enough to catch a key rename or a dropped
-   section without pulling in a JSON parser. *)
+   key must appear.  Substring-based — [Json.to_string] writes keys
+   verbatim with no whitespace, so this is exact enough to catch a key
+   rename or a dropped section. *)
 let validate_v5 doc =
   let required =
     [
@@ -1237,12 +1229,12 @@ let json_bench ~smoke () =
     List.filter_map
       (fun (kind, supply_rows, hybrid_speedup, vec_speedup, _) ->
         if supply_rows = top_scale then
-          Some (kind, json_f (f hybrid_speedup vec_speedup))
+          Some (kind, Json.Float (f hybrid_speedup vec_speedup))
         else None)
       grid
   in
   let doc =
-    json_obj
+    Json.Obj
       [
         (* v5: adds "index_crossover" — indexed vs unindexed nested
            iteration vs the hybrid rewrite with a B-tree on SUPPLY.PNUM,
@@ -1257,43 +1249,49 @@ let json_bench ~smoke () =
            per-cell "vectorized_speedup_vs_tuple", headline
            "vectorized_speedup_10k", operator_breakdowns one entry per
            (query, engine). *)
-        ("schema_version", json_i 5);
-        ("speedup_scale_supply_rows", json_i top_scale);
-        ("queries", json_arr (List.map (fun (_, _, _, _, j) -> j) grid));
+        ("schema_version", Int 5);
+        ("speedup_scale_supply_rows", Int top_scale);
+        ("queries", List (List.map (fun (_, _, _, _, j) -> j) grid));
         ( "batched_comparison",
-          json_arr (List.map (fun (_, _, _, _, _, j) -> j) skew) );
+          List (List.map (fun (_, _, _, _, _, j) -> j) skew) );
         ( "index_crossover",
-          json_obj
+          Obj
             [
               ( "cells",
-                json_arr
+                List
                   (List.map (fun (_, _, _, _, _, _, _, _, j) -> j) crossover)
               );
               ( "crossover_outer_rows",
-                json_obj
+                Obj
                   (List.map
                      (fun (kind, _) ->
                        ( kind,
                          match crossover_point kind with
-                         | Some n -> json_i n
-                         | None -> "null" ))
+                         | Some n -> Json.Int n
+                         | None -> Null ))
                      crossover_queries) );
             ] );
         ("pager_scaling", pager_json);
-        ("hybrid_speedup_10k", json_obj (at_top (fun h _ -> h)));
-        ("vectorized_speedup_10k", json_obj (at_top (fun _ v -> v)));
+        ("hybrid_speedup_10k", Obj (at_top (fun h _ -> h)));
+        ("vectorized_speedup_10k", Obj (at_top (fun _ v -> v)));
         ( "operator_breakdowns",
-          json_arr
+          List
             (json_operator_breakdowns
                ~supply_per_part:(if smoke then 5 else 25)
                ()) );
       ]
   in
   let path = if smoke then "BENCH_perf.smoke.json" else "BENCH_perf.json" in
-  let oc = open_out path in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
+  let doc = Json.to_string doc in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc doc;
+      Out_channel.output_char oc '\n');
+  (* The written file must parse as JSON before any key check runs. *)
+  (match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok _ -> ()
+  | Error e ->
+      Fmt.epr "%s is not valid JSON: %s@." path e;
+      exit 1);
   List.iter
     (fun (kind, rows, hybrid_speedup, vec_speedup, _) ->
       Fmt.pr

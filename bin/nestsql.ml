@@ -119,9 +119,11 @@ let strategy =
 
 let engine =
   let doc =
-    "Execution engine for plan-based paths: tuple (Volcano iterators, the \
-     default and oracle reference) or vectorized (column-major batches of \
-     up to 1024 rows).  Same plans, same results."
+    Printf.sprintf
+      "Execution engine for plan-based paths: tuple (Volcano iterators, the \
+       default and oracle reference) or vectorized (column-major batches of \
+       up to %d rows).  Same plans, same results."
+      Exec.Batch.max_rows
   in
   Arg.(value & opt string "tuple" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -303,7 +305,9 @@ let lint_cmd load_dir fixture tables buffer_pages page_bytes indexes json severi
   let fixture = Option.value (fixture_pragma src) ~default:fixture in
   let db = setup_db load_dir fixture tables buffer_pages page_bytes indexes in
   let diags = Core.lint_query db (strip_sql_comments src) in
-  if json then print_endline (Analysis.Diagnostics.json_report diags)
+  if json then
+    print_endline
+      (Relalg.Json.to_string (Analysis.Diagnostics.json_report diags))
   else if diags = [] then Fmt.pr "no diagnostics@."
   else Fmt.pr "%s" (Analysis.Diagnostics.list_to_string diags);
   if gate diags then exit 1
@@ -338,20 +342,15 @@ let print_check_report i (r : Core.check_report) =
   | None -> ()
 
 let check_report_json (r : Core.check_report) =
-  let module P = Server.Protocol in
-  let diags_json =
-    match P.parse (Analysis.Diagnostics.list_to_json r.Core.ck_diags) with
-    | Ok j -> j
-    | Error _ -> P.Str (Analysis.Diagnostics.list_to_json r.Core.ck_diags)
-  in
-  P.Obj
-    (("sql", P.Str r.Core.ck_sql)
-    :: ("diagnostics", diags_json)
+  let optional name = Option.map (fun s -> (name, Relalg.Json.Str s)) in
+  Relalg.Json.Obj
+    (("sql", Str r.Core.ck_sql)
+    :: ("diagnostics", Analysis.Diagnostics.list_to_json r.Core.ck_diags)
     :: List.filter_map Fun.id
          [
-           Option.map (fun m -> ("refused", P.Str m)) r.Core.ck_refused;
-           Option.map (fun c -> ("certificate", P.Str c)) r.Core.ck_certificate;
-           Option.map (fun t -> ("repro", P.Str t)) r.Core.ck_repro;
+           optional "refused" r.Core.ck_refused;
+           optional "certificate" r.Core.ck_certificate;
+           optional "repro" r.Core.ck_repro;
          ])
 
 let check_cmd load_dir fixture tables buffer_pages page_bytes indexes json severity
@@ -370,14 +369,14 @@ let check_cmd load_dir fixture tables buffer_pages page_bytes indexes json sever
   in
   let reports = ok_or_die (Core.check_source ~bound db sql) in
   (if json then
-     let module P = Server.Protocol in
      print_endline
-       (P.to_string
-          (P.Obj
-             [
-               ("version", P.Int Analysis.Diagnostics.json_version);
-               ("queries", P.List (List.map check_report_json reports));
-             ]))
+       Relalg.Json.(
+         to_string
+           (Obj
+              [
+                ("version", Int Analysis.Diagnostics.json_version);
+                ("queries", List (List.map check_report_json reports));
+              ]))
    else List.iteri print_check_report reports);
   if gate (List.concat_map (fun r -> r.Core.ck_diags) reports) then exit 1
 

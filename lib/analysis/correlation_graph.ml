@@ -147,54 +147,3 @@ let node t id = List.find (fun n -> n.id = id) t.nodes
 let correlations_of t id = List.filter (fun e -> e.inner = id) t.edges
 
 let is_correlated_block t id = correlations_of t id <> []
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let pp_use ppf u =
-  match u.op with
-  | None -> Fmt.string ppf u.column
-  | Some op -> Fmt.pf ppf "%s (%s)" u.column (Ast.cmp_name op)
-
-let pp ppf t =
-  List.iter
-    (fun n ->
-      Fmt.pf ppf "block %d (depth %d, %s, %a): FROM %a@." n.id n.depth
-        n.context Ast.pp_span n.span
-        Fmt.(list ~sep:comma string)
-        n.aliases)
-    t.nodes;
-  List.iter
-    (fun e ->
-      Fmt.pf ppf "  block %d -> block %d via %s: %a@." e.inner e.outer e.alias
-        Fmt.(list ~sep:comma pp_use)
-        e.uses)
-    t.edges
-
-let to_string t = Fmt.str "%a" pp t
-
-let use_json u =
-  let op =
-    match u.op with
-    | None -> "null"
-    | Some op -> Printf.sprintf {|"%s"|} (Ast.cmp_name op)
-  in
-  Printf.sprintf {|{"column":"%s","op":%s}|} u.column op
-
-let node_json n =
-  Printf.sprintf
-    {|{"id":%d,"depth":%d,"context":"%s","span":"%s","aliases":[%s]}|}
-    n.id n.depth n.context
-    (Ast.span_to_string n.span)
-    (String.concat "," (List.map (Printf.sprintf {|"%s"|}) n.aliases))
-
-let edge_json e =
-  Printf.sprintf {|{"inner":%d,"outer":%d,"alias":"%s","uses":[%s]}|} e.inner
-    e.outer e.alias
-    (String.concat "," (List.map use_json e.uses))
-
-let to_json t =
-  Printf.sprintf {|{"blocks":[%s],"correlations":[%s]}|}
-    (String.concat "," (List.map node_json t.nodes))
-    (String.concat "," (List.map edge_json t.edges))

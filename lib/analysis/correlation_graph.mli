@@ -36,9 +36,3 @@ val correlations_of : t -> int -> edge list
 (** Edges leaving block [id]: its correlations to enclosing blocks. *)
 
 val is_correlated_block : t -> int -> bool
-
-val pp : t Fmt.t
-
-val to_string : t -> string
-
-val to_json : t -> string

@@ -8,6 +8,7 @@
    CI consumes; schema in docs/LINT.md). *)
 
 module Ast = Sql.Ast
+module Json = Relalg.Json
 
 type severity = Error | Warning | Info
 
@@ -159,39 +160,27 @@ let to_string d = Fmt.str "%a" pp d
 
 let list_to_string diags = Fmt.str "%a" pp_list diags
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let span_json (s : Ast.span) =
-  Printf.sprintf
-    {|{"line":%d,"col":%d,"end_line":%d,"end_col":%d}|}
-    s.Ast.sp_start.line s.Ast.sp_start.col s.Ast.sp_end.line s.Ast.sp_end.col
+  Json.Obj
+    [
+      ("line", Int s.Ast.sp_start.line);
+      ("col", Int s.Ast.sp_start.col);
+      ("end_line", Int s.Ast.sp_end.line);
+      ("end_col", Int s.Ast.sp_end.col);
+    ]
 
 let to_json (d : t) =
-  let hint =
-    match d.hint with
-    | None -> ""
-    | Some h -> Printf.sprintf {|,"hint":"%s"|} (json_escape h)
-  in
-  Printf.sprintf
-    {|{"code":"%s","title":"%s","severity":"%s","span":%s,"message":"%s"%s}|}
-    d.code d.title (severity_name d.severity) (span_json d.span)
-    (json_escape d.message) hint
+  Json.Obj
+    ([
+       ("code", Json.Str d.code);
+       ("title", Str d.title);
+       ("severity", Str (severity_name d.severity));
+       ("span", span_json d.span);
+       ("message", Str d.message);
+     ]
+    @ match d.hint with None -> [] | Some h -> [ ("hint", Str h) ])
 
-let list_to_json diags =
-  "[" ^ String.concat "," (List.map to_json (sort diags)) ^ "]"
+let list_to_json diags = Json.List (List.map to_json (sort diags))
 
 (* The stable CI surface (`nestsql lint --json`): a versioned envelope so
    consumers can detect schema changes.  Version history in docs/LINT.md;
@@ -199,5 +188,9 @@ let list_to_json diags =
 let json_version = 1
 
 let json_report diags =
-  Printf.sprintf {|{"version":%d,"errors":%b,"diagnostics":%s}|} json_version
-    (has_errors diags) (list_to_json diags)
+  Json.Obj
+    [
+      ("version", Int json_version);
+      ("errors", Bool (has_errors diags));
+      ("diagnostics", list_to_json diags);
+    ]

@@ -43,15 +43,16 @@ val to_string : t -> string
 
 val list_to_string : t list -> string
 
-val to_json : t -> string
+val to_json : t -> Relalg.Json.t
 
-val list_to_json : t list -> string
+val list_to_json : t list -> Relalg.Json.t
+(** The diagnostics in {!sort} order. *)
 
 val json_version : int
 (** Schema version of {!json_report} (and the [version] field of the
     server's lint responses).  Bumped on any incompatible change; history
     in docs/LINT.md. *)
 
-val json_report : t list -> string
+val json_report : t list -> Relalg.Json.t
 (** The versioned envelope `nestsql lint --json` prints:
     [{"version":N,"errors":B,"diagnostics":[...]}]. *)

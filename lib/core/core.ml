@@ -196,10 +196,6 @@ let lint_query db text : Analysis.Diagnostics.t list =
   in
   Analysis.Diagnostics.sort (base @ verify_diags)
 
-(* The correlation graph of an analyzed query (REPL/debugging surface). *)
-let correlation_graph db text =
-  Result.map Analysis.Correlation_graph.build (parse db text)
-
 (* ------------------------------------------------------------------ *)
 (* Semantic checking (plan validation + bounded equivalence)           *)
 (* ------------------------------------------------------------------ *)

@@ -84,10 +84,6 @@ val query_tree : db -> string -> (Optimizer.Query_tree.t, string) result
     program (NQ900–NQ906).  See docs/LINT.md. *)
 val lint_query : db -> string -> Analysis.Diagnostics.t list
 
-(** The scope/correlation graph of an analyzed query. *)
-val correlation_graph :
-  db -> string -> (Analysis.Correlation_graph.t, string) result
-
 type check_report = {
   ck_sql : string;  (** canonical rendering of the checked query *)
   ck_refused : string option;

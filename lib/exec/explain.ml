@@ -11,6 +11,7 @@
    analogue of the rendered tree (schema in docs/EXPLAIN.md). *)
 
 module Pager = Storage.Pager
+module Json = Relalg.Json
 
 type est = { est_rows : float; est_cost : float }
 
@@ -36,9 +37,42 @@ let metrics s node =
     (fun (n, m) -> if n == node then Some m else None)
     s.entries
 
-let json_escape = Printf.sprintf "%S"
+(* Events are built only when a sink is installed. *)
+let emit s event =
+  match s.trace with
+  | Some out -> out (Json.to_string (event ()))
+  | None -> ()
 
-let emit s line = match s.trace with Some out -> out line | None -> ()
+let open_event id node (m : Metrics.t) () =
+  Json.Obj
+    [
+      ("ev", Str "open");
+      ("id", Int id);
+      ("op", Str (Plan.label node));
+      ("build_ms", Float (m.build_s *. 1e3));
+    ]
+
+let batch_event id (m : Metrics.t) () =
+  Json.Obj
+    [
+      ("ev", Str "batch");
+      ("id", Int id);
+      ("rows", Int m.rows);
+      ("next_calls", Int m.next_calls);
+    ]
+
+let close_event id (m : Metrics.t) () =
+  Json.Obj
+    [
+      ("ev", Str "close");
+      ("id", Int id);
+      ("rows", Int m.rows);
+      ("next_calls", Int m.next_calls);
+      ("ms", Float (Metrics.total_s m *. 1e3));
+      ("logical_reads", Int m.logical_reads);
+      ("physical_reads", Int m.physical_reads);
+      ("physical_writes", Int m.physical_writes);
+    ]
 
 let observer (s : session) : Plan.observer =
  fun node build ->
@@ -51,11 +85,7 @@ let observer (s : session) : Plan.observer =
   let it = build () in
   m.Metrics.build_s <- Unix.gettimeofday () -. t0;
   Metrics.add_io m (Pager.diff_since s.pager before);
-  emit s
-    (Printf.sprintf "{\"ev\":\"open\",\"id\":%d,\"op\":%s,\"build_ms\":%.3f}"
-       id
-       (json_escape (Plan.label node))
-       (m.Metrics.build_s *. 1e3));
+  emit s (open_event id node m);
   let closed = ref false in
   let next () =
     let before = Pager.snapshot s.pager in
@@ -68,20 +98,11 @@ let observer (s : session) : Plan.observer =
     | Some _ ->
         m.Metrics.rows <- m.Metrics.rows + 1;
         if m.Metrics.next_calls mod trace_batch = 0 then
-          emit s
-            (Printf.sprintf
-               "{\"ev\":\"batch\",\"id\":%d,\"rows\":%d,\"next_calls\":%d}" id
-               m.Metrics.rows m.Metrics.next_calls)
+          emit s (batch_event id m)
     | None ->
         if not !closed then begin
           closed := true;
-          emit s
-            (Printf.sprintf
-               "{\"ev\":\"close\",\"id\":%d,\"rows\":%d,\"next_calls\":%d,\"ms\":%.3f,\"logical_reads\":%d,\"physical_reads\":%d,\"physical_writes\":%d}"
-               id m.Metrics.rows m.Metrics.next_calls
-               (Metrics.total_s m *. 1e3)
-               m.Metrics.logical_reads m.Metrics.physical_reads
-               m.Metrics.physical_writes)
+          emit s (close_event id m)
         end);
     r
   in
@@ -102,11 +123,7 @@ let observer_vec (s : session) : Plan.vec_observer =
   let v = build () in
   m.Metrics.build_s <- Unix.gettimeofday () -. t0;
   Metrics.add_io m (Pager.diff_since s.pager before);
-  emit s
-    (Printf.sprintf "{\"ev\":\"open\",\"id\":%d,\"op\":%s,\"build_ms\":%.3f}"
-       id
-       (json_escape (Plan.label node))
-       (m.Metrics.build_s *. 1e3));
+  emit s (open_event id node m);
   let closed = ref false in
   let next_batch () =
     let before = Pager.snapshot s.pager in
@@ -119,20 +136,11 @@ let observer_vec (s : session) : Plan.vec_observer =
     | Some b ->
         m.Metrics.rows <- m.Metrics.rows + Batch.live b;
         m.Metrics.batches <- m.Metrics.batches + 1;
-        emit s
-          (Printf.sprintf
-             "{\"ev\":\"batch\",\"id\":%d,\"rows\":%d,\"next_calls\":%d}" id
-             m.Metrics.rows m.Metrics.next_calls)
+        emit s (batch_event id m)
     | None ->
         if not !closed then begin
           closed := true;
-          emit s
-            (Printf.sprintf
-               "{\"ev\":\"close\",\"id\":%d,\"rows\":%d,\"next_calls\":%d,\"ms\":%.3f,\"logical_reads\":%d,\"physical_reads\":%d,\"physical_writes\":%d}"
-               id m.Metrics.rows m.Metrics.next_calls
-               (Metrics.total_s m *. 1e3)
-               m.Metrics.logical_reads m.Metrics.physical_reads
-               m.Metrics.physical_writes)
+          emit s (close_event id m)
         end);
     r
   in
@@ -186,41 +194,47 @@ let render ?(estimate = no_est) ?metrics ?(indent = 0) node =
   Buffer.contents buf
 
 let render_json ?(estimate = no_est) ?metrics node =
-  let buf = Buffer.create 512 in
   let rec go node =
-    Buffer.add_string buf "{\"op\":";
-    Buffer.add_string buf (json_escape (Plan.label node));
-    (match estimate node with
-    | None -> ()
-    | Some e ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"est_cost\":%.3f,\"est_rows\":%.1f" e.est_cost
-             e.est_rows));
-    (match metrics with
-    | None -> ()
-    | Some lookup -> (
-        match lookup node with
-        | None -> ()
-        | Some m ->
-            let l, pr, pw =
-              Metrics.self_io m ~children:(child_metrics lookup node)
-            in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 ",\"actual\":{\"rows\":%d,\"next_calls\":%d,\"rows_per_call\":%.2f,\"batches\":%d,\"build_ms\":%.3f,\"total_ms\":%.3f,\"logical_reads\":%d,\"physical_reads\":%d,\"physical_writes\":%d,\"self_logical_reads\":%d,\"self_physical_reads\":%d,\"self_physical_writes\":%d}"
-                 m.Metrics.rows m.Metrics.next_calls (Metrics.rows_per_call m)
-                 m.Metrics.batches
-                 (m.Metrics.build_s *. 1e3)
-                 (Metrics.total_s m *. 1e3)
-                 m.Metrics.logical_reads m.Metrics.physical_reads
-                 m.Metrics.physical_writes l pr pw)));
-    Buffer.add_string buf ",\"children\":[";
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char buf ',';
-        go c)
-      (Plan.children node);
-    Buffer.add_string buf "]}"
+    let est =
+      match estimate node with
+      | None -> []
+      | Some e ->
+          [
+            ("est_cost", Json.Float e.est_cost); ("est_rows", Float e.est_rows);
+          ]
+    in
+    let actual =
+      match metrics with
+      | None -> []
+      | Some lookup -> (
+          match lookup node with
+          | None -> []
+          | Some m ->
+              let l, pr, pw =
+                Metrics.self_io m ~children:(child_metrics lookup node)
+              in
+              [
+                ( "actual",
+                  Json.Obj
+                    [
+                      ("rows", Int m.Metrics.rows);
+                      ("next_calls", Int m.Metrics.next_calls);
+                      ("rows_per_call", Float (Metrics.rows_per_call m));
+                      ("batches", Int m.Metrics.batches);
+                      ("build_ms", Float (m.Metrics.build_s *. 1e3));
+                      ("total_ms", Float (Metrics.total_s m *. 1e3));
+                      ("logical_reads", Int m.Metrics.logical_reads);
+                      ("physical_reads", Int m.Metrics.physical_reads);
+                      ("physical_writes", Int m.Metrics.physical_writes);
+                      ("self_logical_reads", Int l);
+                      ("self_physical_reads", Int pr);
+                      ("self_physical_writes", Int pw);
+                    ] );
+              ])
+    in
+    Json.Obj
+      ((("op", Json.Str (Plan.label node)) :: est)
+      @ actual
+      @ [ ("children", List (List.map go (Plan.children node))) ])
   in
-  go node;
-  Buffer.contents buf
+  go node

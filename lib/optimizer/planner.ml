@@ -786,6 +786,7 @@ type explained = {
   seg_label : string;
   seg_plan : Exec.Plan.node;
   seg_text : string;
+  seg_tree : Relalg.Json.t;
   seg_json : string;
 }
 
@@ -800,7 +801,10 @@ let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
     explained list =
   let trace_segment label =
     match trace with
-    | Some out -> out (Printf.sprintf {|{"ev":"segment","name":%S}|} label)
+    | Some out ->
+        out
+          Relalg.Json.(
+            to_string (Obj [ ("ev", Str "segment"); ("name", Str label) ]))
     | None -> ()
   in
   let segment label def ~register =
@@ -814,7 +818,7 @@ let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
           register_temp_result catalog name def out_sorted
             (run_plan ~engine ?session catalog plan)
     in
-    let text, json =
+    let text, tree =
       if analyze then begin
         trace_segment label;
         let session =
@@ -831,7 +835,13 @@ let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
           Exec.Explain.render_json ~estimate plan )
       end
     in
-    { seg_label = label; seg_plan = plan; seg_text = text; seg_json = json }
+    {
+      seg_label = label;
+      seg_plan = plan;
+      seg_text = text;
+      seg_tree = tree;
+      seg_json = Relalg.Json.to_string tree;
+    }
   in
   let temp_segs =
     List.map

@@ -15,16 +15,9 @@ type report = {
   cases : int;
   executed : int;  (* candidate executions that produced a result *)
   refusals : int;  (* transformation declined — expected, counted *)
+  refusals_by_cell : (string * int) list;  (* matrix order, non-zero only *)
   discrepancies : discrepancy list;
 }
-
-let count_outcomes (r : Matrix.result) =
-  List.fold_left
-    (fun (ex, ref_) (o : Matrix.outcome) ->
-      match o.Matrix.verdict with
-      | Matrix.Refused _ -> (ex, ref_ + 1)
-      | Matrix.Agree | Matrix.Mismatch _ | Matrix.Failed _ -> (ex + 1, ref_))
-    (0, 0) r.Matrix.outcomes
 
 (* A case "still fails" iff some matrix cell disagrees — any cell, not the
    originally failing one: the shrinker must not chase a moving target
@@ -64,13 +57,19 @@ let static_check_details (case : Repro.case) : string list =
 
 let run ?(log = ignore) ?(check = false) ~seed ~count () : report =
   let rng = Random.State.make [| seed |] in
-  let executed = ref 0 and refusals = ref 0 and discrepancies = ref [] in
+  let executed = ref 0 and discrepancies = ref [] in
+  let refused = Hashtbl.create 64 (* candidate -> refusal count *) in
   for index = 0 to count - 1 do
     let case = Gen.case rng in
     let result = Matrix.run_case case in
-    let ex, ref_ = count_outcomes result in
-    executed := !executed + ex;
-    refusals := !refusals + ref_;
+    List.iter
+      (fun { Matrix.candidate; verdict } ->
+        match verdict with
+        | Matrix.Refused _ ->
+            Hashtbl.replace refused candidate
+              (1 + Option.value (Hashtbl.find_opt refused candidate) ~default:0)
+        | Matrix.Agree | Matrix.Mismatch _ | Matrix.Failed _ -> incr executed)
+      result.Matrix.outcomes;
     let bad =
       match result.Matrix.reference with
       | Error msg -> [ "reference failed: " ^ msg ]
@@ -102,10 +101,19 @@ let run ?(log = ignore) ?(check = false) ~seed ~count () : report =
     else if index mod 50 = 49 then
       log (Printf.sprintf "%d/%d cases clean" (index + 1) count)
   done;
+  let refusals_by_cell =
+    List.filter_map
+      (fun c ->
+        Option.map
+          (fun n -> (Matrix.candidate_label c, n))
+          (Hashtbl.find_opt refused c))
+      Matrix.all_candidates
+  in
   {
     cases = count;
     executed = !executed;
-    refusals = !refusals;
+    refusals = List.fold_left (fun acc (_, n) -> acc + n) 0 refusals_by_cell;
+    refusals_by_cell;
     discrepancies = List.rev !discrepancies;
   }
 
@@ -129,4 +137,7 @@ let pp_report ppf (r : report) =
   Fmt.pf ppf
     "%d cases, %d candidate executions, %d refusals, %d discrepancies"
     r.cases r.executed r.refusals
-    (List.length r.discrepancies)
+    (List.length r.discrepancies);
+  List.iter
+    (fun (label, n) -> Fmt.pf ppf "@\n  %5d refusals  %s" n label)
+    r.refusals_by_cell

@@ -11,6 +11,9 @@ type report = {
   cases : int;
   executed : int;  (** candidate executions that produced a result *)
   refusals : int;  (** transformation declined — expected, counted *)
+  refusals_by_cell : (string * int) list;
+      (** [refusals] split by matrix cell label, in matrix order; cells that
+          never refused are left out *)
   discrepancies : discrepancy list;
 }
 
@@ -33,4 +36,5 @@ val run :
     agrees or refuses. *)
 val replay : string -> (unit, string) result
 
+(** The summary line, then one line per cell of [refusals_by_cell]. *)
 val pp_report : report Fmt.t

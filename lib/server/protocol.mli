@@ -7,14 +7,13 @@
     [{"ok": false, "error": "..."}].  The grammar, field tables and a
     worked transcript live in [docs/SERVER.md].
 
-    The module is self-contained on purpose: it owns a minimal JSON value
-    type with a parser and printer (the repository deliberately has no JSON
-    dependency), the request ASTs, and the [Value.t] <-> JSON coercions the
-    [load] verb and result rendering need. *)
+    The module owns the request ASTs and the [Value.t] <-> JSON coercions
+    the [load] verb and result rendering need; JSON printing and parsing
+    are {!Relalg.Json}'s, re-exported here. *)
 
 (** {1 JSON} *)
 
-type json =
+type json = Relalg.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -23,16 +22,9 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-(** Strict single-value parse (trailing garbage is an error).  Accepts the
-    JSON subset the protocol emits: no comments, [\uXXXX] escapes decoded
-    to UTF-8 (surrogate pairs included). *)
+(** Aliases of {!Relalg.Json.parse}, [to_string] and [member]. *)
 val parse : string -> (json, string) result
-
-(** Compact single-line rendering; control characters in strings are
-    escaped, so the output never contains a raw newline. *)
 val to_string : json -> string
-
-(** [member name j] — field of an [Obj], else [None]. *)
 val member : string -> json -> json option
 
 (** {1 Value coercions} *)

@@ -281,17 +281,10 @@ let do_lint t ~check sql =
           ( List.concat_map (fun r -> r.Core.ck_diags) reports,
             List.filter_map (fun r -> r.Core.ck_certificate) reports )
   in
-  let diags = Analysis.Diagnostics.sort (lint_diags @ check_diags) in
-  let diags_json =
-    (* Diagnostics render themselves to JSON text; round-trip through the
-       protocol parser to embed them structurally. *)
-    match P.parse (Analysis.Diagnostics.list_to_json diags) with
-    | Ok j -> j
-    | Error _ -> P.Str (Analysis.Diagnostics.list_to_json diags)
-  in
+  let diags = lint_diags @ check_diags in
   P.ok_response
-    (("version", P.Int 1)
-    :: ("diagnostics", diags_json)
+    (("version", P.Int Analysis.Diagnostics.json_version)
+    :: ("diagnostics", Analysis.Diagnostics.list_to_json diags)
     :: ("errors", P.Bool (Analysis.Diagnostics.has_errors diags))
     :: (if check then
           [ ("certificates", P.List (List.map (fun c -> P.Str c) certificates)) ]

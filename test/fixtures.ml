@@ -31,3 +31,29 @@ let count_bug_query =
 let max_quan_query =
   "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY WHERE \
    SUPPLY.PNUM < PARTS.PNUM)"
+
+(* String literals full of what a JSON printer must escape or pass through
+   untouched: double quote, backslash, tab, newline, other control bytes
+   and multi-byte UTF-8.  No single quote, so a literal splices into SQL
+   (and shows up in plan labels) verbatim. *)
+let hostile_literal =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 1 8)
+         (oneofl
+            [ "a"; "Z"; "7"; " "; "\""; "\\"; "\t"; "\n"; "\r"; "\001";
+              "\031"; "\127"; "é"; "€"; "日本"; "𝄞" ])))
+
+(* [line] is valid JSON, and printing its value parses back to it. *)
+let json_round_trips line =
+  match Relalg.Json.parse line with
+  | Ok j -> Relalg.Json.(parse (to_string j)) = Ok j
+  | Error _ -> false
+
+(* A type-J query on the kim fixture whose pushed-down filter carries
+   [lit]; [lit = "café"] is the shape that broke the trace printer. *)
+let cafe_query lit =
+  Printf.sprintf
+    "SELECT PNO FROM P WHERE CITY <> '%s' AND PNO IN (SELECT PNO FROM SP \
+     WHERE SP.ORIGIN = P.CITY)"
+    lit

@@ -40,7 +40,7 @@ let test_json_report_envelope () =
       D.make "NQ121" (span 1 1) "verified up to 2 rows";
     ]
   in
-  let json = D.json_report diags in
+  let json = Relalg.Json.to_string (D.json_report diags) in
   Alcotest.(check bool)
     "version field" true
     (contains ~needle:(Printf.sprintf {|"version":%d|} D.json_version) json);
@@ -56,7 +56,8 @@ let test_json_report_envelope () =
        json);
   Alcotest.(check bool)
     "empty list has no errors" true
-    (contains ~needle:{|"errors":false|} (D.json_report []))
+    (contains ~needle:{|"errors":false|}
+       (Relalg.Json.to_string (D.json_report [])))
 
 let test_diagnostic_sort_order () =
   let d1 = D.make "NQ111" (span 3 1) "later position" in

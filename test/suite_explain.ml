@@ -288,6 +288,102 @@ let test_run_trace () =
   in
   Alcotest.(check bool) "plan execution traced" true (!lines <> [])
 
+(* ---------------- JSON escaping ---------------------------------------- *)
+
+let rec labels node =
+  Exec.Plan.label node :: List.concat_map labels (Exec.Plan.children node)
+
+(* EXPLAIN ANALYZE of [Fixtures.cafe_query lit] under [engine]: the trace
+   lines in order, and the segments. *)
+let traced_explain ~engine lit =
+  let catalog = F.kim_catalog () in
+  let q = F.parse_analyzed catalog (Fixtures.cafe_query lit) in
+  let program =
+    Optimizer.Nest_g.transform
+      ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
+      q
+  in
+  let lines = ref [] in
+  let segs =
+    Optimizer.Planner.explain_plans ~analyze:true ~engine
+      ~trace:(fun l -> lines := l :: !lines)
+      catalog program
+  in
+  (List.rev !lines, segs)
+
+(* The "op" fields of a render_json tree, in pre-order. *)
+let rec tree_ops j =
+  let op =
+    match Relalg.Json.member "op" j with Some (Str op) -> [ op ] | _ -> []
+  in
+  match Relalg.Json.member "children" j with
+  | Some (List children) -> op @ List.concat_map tree_ops children
+  | _ -> op
+
+let open_ops lines =
+  List.filter_map
+    (fun line ->
+      match Relalg.Json.parse line with
+      | Ok j when Relalg.Json.member "ev" j = Some (Str "open") -> (
+          match Relalg.Json.member "op" j with
+          | Some (Str op) -> Some op
+          | _ -> None)
+      | _ -> None)
+    lines
+
+(* Under both observers every trace line and every segment tree is valid
+   JSON that round-trips, the open events and the trees name the plan's
+   operator labels (the literal included, byte for byte), and a
+   diagnostics report carrying the literal round-trips too. *)
+let prop_json_escaping =
+  QCheck2.Test.make
+    ~name:"trace, seg_json and diagnostics JSON carry any literal" ~count:40
+    ~print:String.escaped Fixtures.hostile_literal (fun lit ->
+      let engine_ok engine =
+        let lines, segs = traced_explain ~engine lit in
+        let plan_labels =
+          List.concat_map (fun s -> labels s.Optimizer.Planner.seg_plan) segs
+        in
+        let ops = open_ops lines in
+        List.for_all Fixtures.json_round_trips lines
+        && List.for_all (fun op -> List.mem op plan_labels) ops
+        && List.exists (fun op -> Astring.String.is_infix ~affix:lit op) ops
+        && List.for_all
+             (fun (s : Optimizer.Planner.explained) ->
+               Fixtures.json_round_trips s.seg_json
+               &&
+               match Relalg.Json.parse s.seg_json with
+               | Ok tree -> tree_ops tree = labels s.seg_plan
+               | Error _ -> false)
+             segs
+      in
+      let report =
+        Analysis.Diagnostics.(
+          json_report [ make ~hint:lit "NQ005" Sql.Ast.no_span "%s" lit ])
+      in
+      let line = Relalg.Json.to_string report in
+      engine_ok Exec.Plan.Tuple
+      && engine_ok Exec.Plan.Vectorized
+      && Fixtures.json_round_trips line
+      && Relalg.Json.parse line = Ok report)
+
+(* Golden: the open event of the 'café' filter carries the operator label
+   as raw UTF-8, not OCaml's decimal escapes. *)
+let test_cafe_open_event () =
+  let lines, segs = traced_explain ~engine:Exec.Plan.Tuple "café" in
+  let filter =
+    List.find
+      (String.starts_with ~prefix:"Filter")
+      (List.concat_map (fun s -> labels s.Optimizer.Planner.seg_plan) segs)
+  in
+  Alcotest.(check string) "filter label" "Filter P.CITY != 'café'" filter;
+  Alcotest.(check (list string)) "open event op = Plan.label" [ filter ]
+    (List.filter (String.starts_with ~prefix:"Filter") (open_ops lines));
+  Alcotest.(check bool) "raw UTF-8 in the line" true
+    (List.exists
+       (Astring.String.is_infix ~affix:{|"op":"Filter P.CITY != 'café'"|})
+       lines)
+
 let suites =
   [
     ( "explain.golden",
@@ -305,8 +401,10 @@ let suites =
       [
         Alcotest.test_case "analyze trace events" `Quick test_trace_events;
         Alcotest.test_case "run --trace" `Quick test_run_trace;
+        Alcotest.test_case "café open event" `Quick test_cafe_open_event;
       ] );
     ( "explain.properties",
-      List.map QCheck_alcotest.to_alcotest [ prop_root_rows; prop_metric_sanity ]
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_root_rows; prop_metric_sanity; prop_json_escaping ]
     );
   ]

@@ -537,6 +537,66 @@ let test_cli_bad_flags () =
   in
   Alcotest.(check int) "valid mode/engine accepted" 0 code
 
+(* ------------------------------------------------------------------ *)
+(* Hostile string literals through a query response and check --json   *)
+(* ------------------------------------------------------------------ *)
+
+(* A literal [load]ed into a table comes back in the [query] response's
+   rows; the same literal in a checked query comes back in [check --json]'s
+   canonical SQL.  Both outputs must be JSON that round-trips. *)
+let test_hostile_literals =
+  QCheck2.Test.make ~name:"query response and check --json carry any literal"
+    ~count:20 ~print:String.escaped Fixtures.hostile_literal (fun lit ->
+      let server = Server.create (Core.create_db ()) in
+      let s = Server.open_session server in
+      let _ =
+        send_ok server s
+          (P.to_string
+             (P.Obj
+                [
+                  ("op", Str "load");
+                  ("table", Str "T");
+                  ("columns", List [ List [ Str "S"; Str "str" ] ]);
+                  ("rows", List [ List [ Str lit ] ]);
+                ]))
+      in
+      let response, _ =
+        Server.handle_line server s
+          (query_line (Printf.sprintf "SELECT S FROM T WHERE S = '%s'" lit))
+      in
+      let file = Filename.temp_file "nestsql_check" ".sql" in
+      let out = Filename.temp_file "nestsql_check" ".json" in
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (Fixtures.cafe_query lit));
+      let code =
+        Sys.command
+          (Printf.sprintf "%s check --json -d kim %s >%s"
+             (Filename.quote nestsql_exe) (Filename.quote file)
+             (Filename.quote out))
+      in
+      let report =
+        String.trim (In_channel.with_open_bin out In_channel.input_all)
+      in
+      Sys.remove file;
+      Sys.remove out;
+      let checked_sql =
+        match P.parse report with
+        | Ok j -> (
+            match P.member "queries" j with
+            | Some (List [ q ]) -> P.member "sql" q
+            | _ -> None)
+        | Error _ -> None
+      in
+      Fixtures.json_round_trips response
+      && Option.bind (Result.to_option (P.parse response)) (P.member "rows")
+         = Some (List [ List [ Str lit ] ])
+      && code = 0
+      && Fixtures.json_round_trips report
+      &&
+      match checked_sql with
+      | Some (Str sql) -> Astring.String.is_infix ~affix:lit sql
+      | _ -> false)
+
 let suites =
   [
     ( "server.protocol",
@@ -570,5 +630,8 @@ let suites =
           test_server_concurrent_sessions;
       ] );
     ( "server.cli",
-      [ Alcotest.test_case "strict --engine/--mode" `Quick test_cli_bad_flags ] );
+      [
+        Alcotest.test_case "strict --engine/--mode" `Quick test_cli_bad_flags;
+        QCheck_alcotest.to_alcotest test_hostile_literals;
+      ] );
   ]
