@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke doc clean
+.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke perf-smoke bench bench-json bench-smoke doc clean
 
 all:
 	dune build
@@ -54,6 +54,18 @@ fuzz-smoke:
 serve-smoke:
 	dune build bin/nestsql.exe
 	sh scripts/serve_smoke.sh
+
+# Benchmark harness smoke (BENCHMARK.json, perfbench/): one traced
+# 1-second run of each workload.  Fails unless every run's final JSON line
+# reports "correct": true, which includes the traced replay's check that
+# each operation takes the same rung and returns the same bag as Core.run.
+perf-smoke:
+	for w in outofcore_report adhoc_oneshot server_hot; do \
+	  echo "== $$w"; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1) || exit 1; \
+	  echo "$$out"; \
+	  echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe

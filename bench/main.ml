@@ -1039,13 +1039,14 @@ let json_batched_comparison ~scales ~warmup ~reps () =
    swept.  Small outers probe a handful of keys — un-transformed indexed
    nested iteration undercuts any transformed program (which must scan
    all of SUPPLY into a temp); large outers amortize the scan and the
-   transformation wins.  Each cell records the cost model's estimates
-   (indexed_nested_cost vs transformed_floor — what Core.Auto decides
-   with) next to measured I/O for all three executions, and the section
-   reports the first outer size at which the estimate flips to
-   transformed.  Asserted per cell: indexed nested iteration beats the
-   {e unindexed} enumeration on total page I/O (the probe must pay off),
-   and whenever the estimate picks nested, measured I/O must agree. *)
+   transformation wins.  Each cell records the estimates of
+   Core.decide's indexed rung (indexed_nested_cost vs transformed_floor —
+   the decision Core.Auto executes) next to measured I/O for all three
+   executions, and the section reports the first outer size at which the
+   decision flips to transformed.  Asserted per cell: indexed nested
+   iteration beats the {e unindexed} enumeration on total page I/O (the
+   probe must pay off), and whenever the decision picks nested, measured
+   I/O must agree. *)
 let crossover_queries =
   [
     ( "type-J",
@@ -1067,19 +1068,20 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
   let cell (kind, text) n_parts =
     let fresh ~indexed () =
       let rng = Random.State.make [| 42 |] in
-      let catalog =
-        G.catalog_of ~buffer_pages:256 ~page_bytes:256
-          [
-            ("PARTS", G.parts rng ~n:n_parts ~key_range);
-            ("SUPPLY", G.supply rng ~n:supply_rows ~key_range);
-          ]
-      in
-      if indexed then Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
-      catalog
+      let db = Core.create_db ~buffer_pages:256 ~page_bytes:256 () in
+      List.iter
+        (fun (name, rel) ->
+          Catalog.register_relation (Core.catalog db) name rel)
+        [
+          ("PARTS", G.parts rng ~n:n_parts ~key_range);
+          ("SUPPLY", G.supply rng ~n:supply_rows ~key_range);
+        ];
+      if indexed then Core.create_index db "SUPPLY" ~column:"PNUM";
+      db
     in
     let time ~indexed run_of =
       let once () =
-        let catalog = fresh ~indexed () in
+        let catalog = Core.catalog (fresh ~indexed ()) in
         let q = F.parse_analyzed catalog text in
         let result, wall, io = time_io catalog (run_of catalog q) in
         { s_rows = Relation.cardinality result; s_wall = wall; s_io = io }
@@ -1101,14 +1103,18 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
     let indexed = time ~indexed:true nested in
     let unindexed = time ~indexed:false nested in
     let rewritten = time ~indexed:true transformed in
-    (* the estimates Core.Auto decides with, on the indexed catalog *)
-    let est_catalog = fresh ~indexed:true () in
-    let q = F.parse_analyzed est_catalog text in
-    let est_nested = Estimate.indexed_nested_cost est_catalog q in
-    let floor = Estimate.transformed_floor est_catalog q in
-    let picks_nested =
-      match est_nested with Some c -> c < floor | None -> false
+    (* the decision Core.Auto executes, on the indexed catalog *)
+    let est_db = fresh ~indexed:true () in
+    let decision =
+      Core.decide est_db (Result.get_ok (Core.prepare est_db text)) Core.Auto
     in
+    let est_nested, floor =
+      match List.assoc Core.Indexed_nested decision with
+      | Core.(Viable (Crossover c) | Refused (Crossover c)) ->
+          (Json.Float c.nested_cost, Json.Float c.floor)
+      | _ -> (Json.Null, Json.Null)
+    in
+    let picks_nested = Core.picked decision = Ok Core.Indexed_nested in
     let cell_json =
       Json.Obj
         [
@@ -1116,9 +1122,8 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
           ("outer_rows", Int n_parts);
           ("supply_rows", Int supply_rows);
           ("key_range", Int key_range);
-          ( "est_nested_cost",
-            match est_nested with Some c -> Float c | None -> Null );
-          ("transformed_floor", Float floor);
+          ("est_nested_cost", est_nested);
+          ("transformed_floor", floor);
           ("picked", Str (if picks_nested then "nested" else "transformed"));
           ( "strategies",
             List
@@ -1239,8 +1244,9 @@ let json_bench ~smoke () =
         (* v5: adds "index_crossover" — indexed vs unindexed nested
            iteration vs the hybrid rewrite with a B-tree on SUPPLY.PNUM,
            outer size swept; per-cell cost-model verdict
-           ("est_nested_cost" / "transformed_floor" / "picked") and the
-           headline "crossover_outer_rows" where the estimate flips to
+           ("est_nested_cost" / "transformed_floor" / "picked", all read
+           from Core.decide's indexed rung) and the headline
+           "crossover_outer_rows" where the estimate flips to
            transformed.  v4 keys unchanged: "batched_comparison" — the
            three-strategy head-to-head on duplicate-skewed keys, with
            per-cell "rewrite_refused" and "batched_speedup_vs_nested";

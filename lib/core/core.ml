@@ -89,21 +89,23 @@ let parse db text =
 let classify db text =
   Result.map Optimizer.Classify.classify_query (parse db text)
 
-(* "May [col] of relation [rel] be NULL?", answered from exact catalog
-   statistics (relations are immutable once registered, so nulls = 0 is a
-   proof).  Feeds the soundness guards of the §8 COUNT-form rewrites and
-   the NOT IN extension; anything unresolvable stays conservatively
-   nullable. *)
-let column_nullable db ~rel col =
+(* Exact catalog statistics of [rel.col]; [None] when unresolvable. *)
+let column_stat db ~rel col =
   match Catalog.lookup db.catalog rel with
-  | None -> true
+  | None -> None
   | Some schema -> (
       match Schema.find_opt schema col with
-      | Some i ->
-          (Storage.Stats.column (Catalog.stats db.catalog rel) i)
-            .Storage.Stats.nulls > 0
-      | None -> true
-      | exception Schema.Ambiguous _ -> true)
+      | Some i -> Some (Storage.Stats.column (Catalog.stats db.catalog rel) i)
+      | None | (exception Schema.Ambiguous _) -> None)
+
+(* "May [col] of relation [rel] be NULL?" (relations are immutable once
+   registered, so nulls = 0 is a proof).  Feeds the soundness guards of
+   the §8 COUNT-form rewrites and the NOT IN extension; anything
+   unresolvable stays conservatively nullable. *)
+let column_nullable db ~rel col =
+  match column_stat db ~rel col with
+  | Some cs -> cs.Storage.Stats.nulls > 0
+  | None -> true
 
 (* NEST-G over an already-analyzed query; [transform] and the prepared-
    statement path both come through here. *)
@@ -148,15 +150,9 @@ let classify_oracle sub =
   Optimizer.Classify.name (Optimizer.Classify.classify_block sub)
 
 let column_stats db rel col =
-  match Catalog.lookup db.catalog rel with
-  | None -> None
-  | Some schema -> (
-      match Schema.find_opt schema col with
-      | Some i ->
-          let cs = Storage.Stats.column (Catalog.stats db.catalog rel) i in
-          Some (cs.Storage.Stats.distinct, Catalog.tuples db.catalog rel)
-      | None -> None
-      | exception Schema.Ambiguous _ -> None)
+  Option.map
+    (fun cs -> (cs.Storage.Stats.distinct, Catalog.tuples db.catalog rel))
+    (column_stat db ~rel col)
 
 (* Lint one or more ';'-separated queries: parse/analysis diagnostics
    (NQ100/NQ101), the static checks (NQ001-NQ008), and — when a query is
@@ -179,19 +175,10 @@ let lint_query db text : Analysis.Diagnostics.t list =
             (fun q ->
               match Sql.Analyzer.analyze ~lookup q with
               | Error _ -> []
-              | Ok analyzed -> (
-                  let fresh () = Catalog.fresh_temp_name db.catalog in
-                  match
-                    Optimizer.Nest_g.transform ~rewrite_not_in:false
-                      ~nullable:(column_nullable db) ~fresh analyzed
-                  with
-                  | program ->
-                      Optimizer.Planner.verify_program db.catalog program
-                  | exception Optimizer.Nest_g.Unsupported _
-                  | exception Optimizer.Ja_shape.Not_ja _
-                  | exception Optimizer.Nest_n_j.Not_applicable _
-                  | exception Optimizer.Extensions.Unsupported _ ->
-                      []))
+              | Ok q -> (
+                  match transform_query db q with
+                  | Ok p -> Optimizer.Planner.verify_program db.catalog p
+                  | Error _ -> []))
             queries
   in
   Analysis.Diagnostics.sort (base @ verify_diags)
@@ -214,6 +201,17 @@ type check_report = {
   ck_repro : string option;  (* witness database as a replayable .sql *)
 }
 
+(* The bounded counterexample search for one rewrite of [q] (NQ120-NQ122);
+   `check` reports its verdict, EXPLAIN its one-line certificate. *)
+let equivalence ?bound db q (program : Optimizer.Program.t) =
+  Analysis.Equiv_check.check ?bound ~nullable:(column_nullable db)
+    ~lookup:(Catalog.lookup db.catalog)
+    ~temps:
+      (List.map
+         (fun { Optimizer.Program.name; def } -> (name, def))
+         program.Optimizer.Program.temps)
+    ~main:program.Optimizer.Program.main q
+
 let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
   let ck_sql = Sql.Pp.query_to_string q in
   match transform_query db q with
@@ -228,17 +226,7 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
       }
   | Ok program ->
       let plan_diags = Optimizer.Planner.check_program db.catalog program in
-      let temps =
-        List.map
-          (fun { Optimizer.Program.name; def } -> (name, def))
-          program.Optimizer.Program.temps
-      in
-      let verdict =
-        Analysis.Equiv_check.check ~bound
-          ~nullable:(column_nullable db)
-          ~lookup:(Catalog.lookup db.catalog)
-          ~temps ~main:program.Optimizer.Program.main q
-      in
+      let verdict = equivalence ~bound db q program in
       let repro =
         match verdict with
         | Analysis.Equiv_check.Not_equivalent w ->
@@ -292,9 +280,7 @@ type strategy =
   | Batched of Optimizer.Planner.join_choice
     (* Guravannavar batched bindings: planner-lowered outer block, one
        inner evaluation per distinct correlation-key batch *)
-  | Auto
-    (* transform when possible, else batched when Estimate says the key
-       domain beats the outer cardinality, else nested iteration *)
+  | Auto (* the rung ladder below *)
 
 (* The names the CLI (--strategy), the REPL (\strategy) and the server
    protocol all accept — one parser so the surfaces can't drift.  Join
@@ -325,7 +311,6 @@ let via_name = function
 
 type execution = {
   result : Relation.t;
-  used_transformation : bool;
   via : via;
   program : Optimizer.Program.t option;
   batches : Optimizer.Batched_nest.batch list;
@@ -356,153 +341,202 @@ let prepare_query ?(rewrite_not_in = false) db q =
 let prepare ?rewrite_not_in db text =
   Result.map (prepare_query ?rewrite_not_in db) (parse db text)
 
+(* ------------------------------------------------------------------ *)
+(* The strategy ladder: one decision for run, EXPLAIN and the bench    *)
+(* ------------------------------------------------------------------ *)
+
+(* §7: unnesting is a costed choice, not a rule.  Auto climbs four rungs,
+   top first, and takes the first one that does not refuse; a forced
+   strategy is a one-rung ladder. *)
+type rung = Indexed_nested | Transformed_rung | Batched_rung | Nested_rung
+
+let rung_name = function
+  | Indexed_nested -> "indexed nested iteration"
+  | Transformed_rung -> "transformed"
+  | Batched_rung -> "batched"
+  | Nested_rung -> "nested iteration"
+
+let rung_via = function
+  | Indexed_nested | Nested_rung -> Via_nested
+  | Transformed_rung -> Via_transformed
+  | Batched_rung -> Via_batched
+
+let ladder = function
+  | Auto -> [ Indexed_nested; Transformed_rung; Batched_rung; Nested_rung ]
+  | Transformed _ -> [ Transformed_rung ]
+  | Batched _ -> [ Batched_rung ]
+  | Nested_iteration -> [ Nested_rung ]
+
+type reason =
+  | Because of string
+  | Crossover of { nested_cost : float; floor : float }
+
+type verdict = Viable of reason | Refused of reason | Unevaluated
+type decision = (rung * verdict) list
+
+let pp_reason ~viable ppf = function
+  | Because why -> Fmt.string ppf why
+  | Crossover { nested_cost; floor } ->
+      Fmt.pf ppf "est. %.0f page I/O %s transformed floor %.0f" nested_cost
+        (if viable then "<" else ">=")
+        floor
+
 (* The §7 crossover: when the frames of the nested enumeration (outer
    block and correlated subqueries) can probe B-trees, the un-transformed
    program's estimated page traffic can undercut *any* transformed
    program — whose temps must read every referenced relation at least
    once, which is what [Estimate.transformed_floor] counts.  Choosing
    nested iteration only when its estimate is strictly below that lower
-   bound can never pick the slower side.  [None] whenever no index
+   bound can never pick the slower side.  Refused whenever no index
    applies, so databases without indexes behave exactly as before. *)
-let indexed_nested_choice db (q : Sql.Ast.query) : (float * float) option =
+let indexed_verdict db (q : Sql.Ast.query) =
   match Optimizer.Estimate.indexed_nested_cost db.catalog q with
-  | None -> None
-  | Some cost ->
+  | None -> Refused (Because "no index probe applies")
+  | Some nested_cost ->
       let floor = Optimizer.Estimate.transformed_floor db.catalog q in
-      if cost < floor then Some (cost, floor) else None
+      let c = Crossover { nested_cost; floor } in
+      if nested_cost < floor then Viable c else Refused c
 
-let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
-    ?on_fallback db (p : prepared) : (execution, string) result =
+let indexed_nested_choice db q =
+  match indexed_verdict db q with
+  | Viable (Crossover { nested_cost; floor }) -> Some (nested_cost, floor)
+  | _ -> None
+
+(* One rung's estimate or refusal reason.  Batched must beat the rung
+   below it, so it is costed only when one exists. *)
+let assess db (p : prepared) ~last = function
+  | Indexed_nested -> indexed_verdict db p.query
+  | Transformed_rung -> (
+      match Lazy.force p.program with
+      | Error msg -> Refused (Because msg)
+      | Ok program -> (
+          (* the only verification a statement gets (NQ900-NQ906) *)
+          match Optimizer.Planner.verification_failure db.catalog program with
+          | Some msg -> Refused (Because msg)
+          | None -> Viable (Because "verified rewrite")))
+  | Batched_rung when last -> Viable (Because "forced")
+  | Batched_rung ->
+      if Optimizer.Estimate.prefer_batched db.catalog p.query then
+        Viable (Because "est. fewer inner evaluations than nested iteration")
+      else
+        Refused
+          (Because "est. no fewer inner evaluations than nested iteration")
+  | Nested_rung -> Viable (Because "refuses nothing")
+
+(* The first viable rung; when every rung refuses, the last refusal. *)
+let rec picked (d : decision) =
+  match d with
+  | (rung, Viable _) :: _ -> Ok rung
+  | [ (_, Refused r) ] -> Error (Fmt.str "%a" (pp_reason ~viable:false) r)
+  | _ :: below -> picked below
+  | [] -> assert false (* a ladder's last rung is always assessed *)
+
+(* Assess the unevaluated rungs top-down, stopping at the first viable
+   one unless [all]. *)
+let settle ~all db p d =
+  let rec go = function
+    | [] -> []
+    | (rung, Unevaluated) :: below -> (
+        match assess db p ~last:(below = []) rung with
+        | Viable _ as v when not all -> (rung, v) :: below
+        | v -> (rung, v) :: go below)
+    | assessed :: below -> assessed :: go below
+  in
+  go d
+
+(* Hand the picked rung to [act]; when [act] refuses it at run time (a
+   planning error, or batched's one unbatchable shape under the refusal
+   prefix the transformation guards use, so the oracle treats it
+   uniformly) the rung is marked refused and the climb resumes below it. *)
+let climb ~all db p strategy act =
+  let rec go d =
+    match picked d with
+    | Error msg -> (d, Error msg)
+    | Ok rung -> (
+        let refuse msg =
+          let mark (r, v) =
+            (r, if r = rung then Refused (Because msg) else v)
+          in
+          go (settle ~all db p (List.map mark d))
+        in
+        match act d rung with
+        | v -> (d, Ok v)
+        | exception Optimizer.Batched_nest.Unsupported msg ->
+            refuse ("not transformable: batched: " ^ msg)
+        | exception Optimizer.Planner.Planning_error msg -> refuse msg)
+  in
+  go (settle ~all db p (List.map (fun r -> (r, Unevaluated)) (ladder strategy)))
+
+let decide db p strategy =
+  fst (climb ~all:true db p strategy (fun _ _ -> ()))
+
+let pp_decision ppf d =
+  let pick = picked d and pp_viable = pp_reason ~viable:true in
+  Fmt.pf ppf "auto: %s"
+    (match pick with Ok rung -> rung_name rung | Error msg -> msg);
+  List.iter
+    (fun (rung, v) ->
+      Fmt.pf ppf "@\n  %-24s  " (rung_name rung);
+      match v with
+      | Viable r when pick = Ok rung -> Fmt.pf ppf "picked — %a" pp_viable r
+      | Viable r -> Fmt.pf ppf "viable — %a" pp_viable r
+      | Refused r -> Fmt.pf ppf "refused — %a" (pp_reason ~viable:false) r
+      | Unevaluated -> Fmt.string ppf "not evaluated")
+    d
+
+let force_of = function
+  | Transformed force | Batched force -> force
+  | Auto | Nested_iteration -> Optimizer.Planner.Auto
+
+let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
+    (p : prepared) : (execution, string) result =
   let q = p.query in
+  let force = force_of strategy in
   let pager = Catalog.pager db.catalog in
   (* one instrumentation session for the whole pipeline; nested iteration
      has no operator tree, so trace only covers plans *)
   let session =
     Option.map (fun t -> Exec.Explain.session ~trace:t pager) trace
   in
-  let run_nested () =
+  let execute _ rung =
     let before = Pager.snapshot pager in
-    let result = Exec.Sysr_iteration.run db.catalog q in
-    Ok
+    let finish ?program ?(batches = []) result =
       {
         result;
-        used_transformation = false;
-        via = Via_nested;
-        program = None;
-        batches = [];
+        via = rung_via rung;
+        program;
+        batches;
         io = Pager.diff_since pager before;
       }
+    in
+    match rung with
+    | Indexed_nested | Nested_rung ->
+        finish (Exec.Sysr_iteration.run db.catalog q)
+    | Batched_rung ->
+        let { Optimizer.Batched_nest.relation; batches } =
+          Optimizer.Batched_nest.run ~force ?mode ?engine ?session db.catalog q
+        in
+        finish ~batches relation
+    | Transformed_rung ->
+        let program = Result.get_ok (Lazy.force p.program) in
+        let result =
+          Optimizer.Planner.run_program ~force ?mode ~check ?engine ?session
+            db.catalog program
+        in
+        (* ORDER BY is presentation, not plan structure: the nested paths
+           sort inside [run]; the transformed path must sort here or a
+           sorted query silently loses its order. *)
+        let e = finish ~program (Exec.Presentation.apply_order q result) in
+        Optimizer.Planner.drop_temps db.catalog program;
+        e
   in
-  (* Batched bindings never transform — a refusal can only come from the
-     one unbatchable shape (correlated column outside a WHERE predicate),
-     surfaced with the same refusal prefix the transformation guards use so
-     the oracle and the Auto fallback treat it uniformly. *)
-  let run_batched force =
-    let before = Pager.snapshot pager in
-    match
-      Optimizer.Batched_nest.run ~force ?mode ?engine ?session db.catalog q
-    with
-    | { Optimizer.Batched_nest.relation; batches } ->
-        Ok
-          {
-            result = relation;
-            used_transformation = false;
-            via = Via_batched;
-            program = None;
-            batches;
-            io = Pager.diff_since pager before;
-          }
-    | exception Optimizer.Batched_nest.Unsupported msg ->
-        Error ("not transformable: batched: " ^ msg)
-    | exception Optimizer.Planner.Planning_error msg -> Error msg
-  in
-  (* Every transformed program is verified before it runs (NQ900-NQ906);
-     a failing program is refused here and — under [Auto] — execution
-     falls back to nested iteration with a warning. *)
-  let run_transformed force =
-    match Lazy.force p.program with
-    | Error _ as e -> e
-    | Ok program -> (
-        let before = Pager.snapshot pager in
-        match
-          Optimizer.Planner.run_program ~force ?mode ~verify:true ~check
-            ?engine ?session db.catalog program
-        with
-        | result ->
-            (* ORDER BY is presentation, not plan structure: the nested
-               paths sort inside [run]; the transformed path must sort
-               here or a sorted query silently loses its order. *)
-            let result = Exec.Presentation.apply_order q result in
-            let io = Pager.diff_since pager before in
-            Optimizer.Planner.drop_temps db.catalog program;
-            Ok
-              {
-                result;
-                used_transformation = true;
-                via = Via_transformed;
-                program = Some program;
-                batches = [];
-                io;
-              }
-        | exception Optimizer.Planner.Planning_error msg -> Error msg)
-  in
-  match strategy with
-  | Nested_iteration -> run_nested ()
-  | Transformed force -> run_transformed force
-  | Batched force -> run_batched force
-  | Auto -> (
-      match indexed_nested_choice db q with
-      | Some (cost, floor) ->
-          (* Indexed nested iteration beats every transformed program's
-             lower bound — run the query un-transformed (§7's regime). *)
-          (match on_fallback with
-          | Some note ->
-              note
-                (Fmt.str
-                   "auto: indexed nested iteration chosen (est. %.0f page \
-                    I/O < transformed floor %.0f)"
-                   cost floor)
-          | None -> ());
-          run_nested ()
-      | None -> (
-      match run_transformed Optimizer.Planner.Auto with
-      | Ok _ as ok -> ok
-      | Error msg ->
-          (* Refused: pick the cheaper un-transformed strategy.  Batched
-             wins when the estimated distinct-key domain undercuts the
-             outer cardinality (Estimate.prefer_batched); it can itself
-             refuse on the unbatchable shape, in which case nested
-             iteration — which refuses nothing — closes the ladder. *)
-          let use_batched =
-            Optimizer.Estimate.prefer_batched db.catalog q
-          in
-          let warn fallback =
-            match on_fallback with
-            | Some warn ->
-                warn
-                  ("transformed strategy refused (" ^ msg
-                 ^ "); falling back to " ^ fallback)
-            | None -> ()
-          in
-          if use_batched then
-            match run_batched Optimizer.Planner.Auto with
-            | Ok _ as ok ->
-                warn "batched execution";
-                ok
-            | Error _ ->
-                warn "nested iteration";
-                run_nested ()
-          else begin
-            warn "nested iteration";
-            run_nested ()
-          end))
+  snd (climb ~all:false db p strategy execute)
 
-let run ?strategy ?check ?rewrite_not_in ?mode ?engine ?trace ?on_fallback db
-    text : (execution, string) result =
+let run ?strategy ?check ?rewrite_not_in ?mode ?engine ?trace db text :
+    (execution, string) result =
   match prepare ?rewrite_not_in db text with
   | Error _ as e -> e
-  | Ok p ->
-      run_prepared ?strategy ?check ?mode ?engine ?trace ?on_fallback db p
+  | Ok p -> run_prepared ?strategy ?check ?mode ?engine ?trace db p
 
 (* Convenience: the relation only. *)
 let query db text : (Relation.t, string) result =
@@ -512,114 +546,63 @@ let query db text : (Relation.t, string) result =
    outer block and every WHERE subquery (recursively): the evidence EXPLAIN
    prints when Auto picks un-transformed indexed nested iteration. *)
 let probe_report db (q : Sql.Ast.query) : string list =
-  let subquery_of (p : Sql.Ast.predicate) =
-    match p with
-    | Sql.Ast.Cmp_subq (_, _, s)
-    | Sql.Ast.In_subq (_, s)
-    | Sql.Ast.Not_in_subq (_, s)
-    | Sql.Ast.Exists s
-    | Sql.Ast.Not_exists s
-    | Sql.Ast.Quant (_, _, _, s) ->
-        Some s
-    | Sql.Ast.Cmp _ | Sql.Ast.Cmp_outer _ -> None
-  in
   let rec go ~outer_aliases (q : Sql.Ast.query) =
-    let here =
-      List.map
-        (fun (alias, column, rhs) ->
-          Fmt.str "  probe: %s.%s = %a" alias column Sql.Pp.pp_scalar rhs)
-        (Exec.Sysr_iteration.probes db.catalog ~outer_aliases q)
-    in
-    let aliases =
-      outer_aliases @ List.map Sql.Ast.from_alias q.Sql.Ast.from
-    in
-    here
+    List.map
+      (fun (alias, column, rhs) ->
+        Fmt.str "  probe: %s.%s = %a" alias column Sql.Pp.pp_scalar rhs)
+      (Exec.Sysr_iteration.probes db.catalog ~outer_aliases q)
     @ List.concat_map
-        (fun p ->
-          match subquery_of p with
-          | Some sub -> go ~outer_aliases:aliases sub
-          | None -> [])
-        q.Sql.Ast.where
+        (go ~outer_aliases:(outer_aliases @ List.map Sql.Ast.from_alias q.from))
+        (Sql.Ast.subqueries q)
   in
   go ~outer_aliases:[] q
 
-let explain_query ?strategy ?mode ?(analyze = false) ?engine ?trace db text :
-    (string, string) result =
-  match strategy with
-  | Some (Batched force) -> (
-      (* Batched plans have no transformed program: EXPLAIN shows the
-         outer block's physical plan plus one line per WHERE subquery —
-         its correlation keys, and under ANALYZE the measured outer-row /
-         distinct-binding batch counts. *)
-      match parse db text with
-      | Error _ as e -> e
-      | Ok q -> (
-          match
-            Optimizer.Batched_nest.explain ~force ?mode ?engine ~analyze
-              db.catalog q
-          with
-          | text -> Ok text
-          | exception Optimizer.Batched_nest.Unsupported msg ->
-              Error ("not transformable: batched: " ^ msg)
-          | exception Optimizer.Planner.Planning_error msg -> Error msg))
-  | Some Nested_iteration ->
+let explain_query ?(strategy = Auto) ?rewrite_not_in ?mode ?(analyze = false)
+    ?engine ?trace db text : (string, string) result =
+  match prepare ?rewrite_not_in db text with
+  | Error _ as e -> e
+  | Ok _ when strategy = Nested_iteration ->
       Error "nested iteration has no physical plan to explain"
-  | Some (Transformed _) | Some Auto | None -> (
-      let auto = match strategy with Some (Transformed _) -> false | _ -> true in
-      match parse db text with
-      | Error _ as e -> e
-      | Ok q -> (
-          (* Under Auto, surface the §7 crossover decision: when indexed
-             nested iteration undercuts the transformed floor, execution
-             will not transform at all — EXPLAIN must say so (and with
-             what probes), since nested iteration has no plan tree. *)
-          let crossover =
-            if auto then indexed_nested_choice db q else None
-          in
-          let header =
-            match crossover with
-            | None -> ""
-            | Some (cost, floor) ->
-                Fmt.str
-                  "auto: indexed nested iteration (untransformed) — est. \
-                   %.0f page I/O < transformed floor %.0f\n%s"
-                  cost floor
-                  (String.concat "\n" (probe_report db q))
-          in
-          match transform_query db q with
-          | Error _ when header <> "" ->
-              (* Not transformable, but Auto has an indexed nested path:
-                 that decision *is* the explanation. *)
-              Ok header
-          | Error _ as e -> e
-          | Ok program -> (
-              match
-                Optimizer.Planner.explain_text ?mode ~analyze ?engine ?trace
-                  db.catalog program
-              with
-              | text ->
-                  (* Every accepted rewrite carries its bounded-equivalence
-                     certificate: the counterexample search at k=2 over the
-                     abstract {const₁, const₂, NULL} domain, summarized in
-                     one line (see docs/LINT.md). *)
-                  let temps =
-                    List.map
-                      (fun { Optimizer.Program.name; def } -> (name, def))
-                      program.Optimizer.Program.temps
-                  in
-                  let verdict =
-                    Analysis.Equiv_check.check
-                      ~nullable:(column_nullable db)
-                      ~lookup:(Catalog.lookup db.catalog)
-                      ~temps ~main:program.Optimizer.Program.main q
-                  in
-                  let body =
-                    text ^ "\n" ^ Analysis.Equiv_check.certificate verdict
-                  in
-                  Ok
-                    (if header = "" then body
-                     else header ^ "\ntransformed alternative:\n" ^ body)
-              | exception Optimizer.Planner.Planning_error msg -> Error msg)))
+  | Ok p -> (
+      let q = p.query in
+      (* Every accepted rewrite carries its bounded-equivalence certificate:
+         the counterexample search at k=2 over the abstract
+         {const₁, const₂, NULL} domain, in one line (see docs/LINT.md). *)
+      let transformed () =
+        let program = Result.get_ok (Lazy.force p.program) in
+        let text =
+          Optimizer.Planner.explain_text ?mode ~analyze ?engine ?trace
+            db.catalog program
+        in
+        text ^ "\n"
+        ^ Analysis.Equiv_check.certificate (equivalence db q program)
+      in
+      let render d = function
+        | Transformed_rung -> transformed ()
+        | Batched_rung ->
+            (* no transformed program: the outer block's physical plan plus
+               one line per WHERE subquery — its correlation keys, and under
+               ANALYZE the measured outer-row / distinct-binding counts *)
+            Optimizer.Batched_nest.explain ~force:(force_of strategy) ?mode
+              ?engine ~analyze db.catalog q
+        | Nested_rung -> ""
+        | Indexed_nested -> (
+            (* nested iteration has no plan tree: the probes are the
+               evidence, then the rewrite the decision turned down *)
+            let probes = String.concat "\n" (probe_report db q) in
+            match List.assoc Transformed_rung d with
+            | Viable _ -> (
+                match transformed () with
+                | alt -> probes ^ "\ntransformed alternative:\n" ^ alt
+                | exception Optimizer.Planner.Planning_error _ -> probes)
+            | _ -> probes)
+      in
+      match climb ~all:true db p strategy render with
+      | _, (Error _ as e) -> e
+      | d, Ok body when strategy <> Auto || picked d = Ok Transformed_rung ->
+          Ok body
+      | d, Ok "" -> Ok (Fmt.str "%a" pp_decision d)
+      | d, Ok body -> Ok (Fmt.str "%a@\n%s" pp_decision d body))
 
 let explain db text : (string, string) result = explain_query db text
 

@@ -43,7 +43,8 @@ val parse_create_index : string -> (string * string) option
 val is_create_index : string -> bool
 val execute_create_index : db -> string -> (string, string) result
 
-(** The §7 crossover decision Auto makes before transforming: [Some
+(** The §7 crossover decision Auto makes before transforming (the
+    {!Indexed_nested} rung of {!decide}): [Some
     (nested_cost, transformed_floor)] when estimated indexed nested
     iteration strictly undercuts the page-count lower bound of any
     transformed program ({!Optimizer.Estimate.transformed_floor});
@@ -117,10 +118,7 @@ type strategy =
       (** Guravannavar batched bindings ({!Optimizer.Batched_nest}): the
           planner-lowered outer block, one inner evaluation per distinct
           correlation-key batch *)
-  | Auto
-      (** transform when possible, else batched when
-          {!Optimizer.Estimate.prefer_batched} says the key domain beats
-          the outer cardinality, else nested iteration *)
+  | Auto  (** the four-rung ladder of {!decide} *)
 
 (** ["nested"] / ["transformed"] / ["batched"] / ["auto"] — the shared
     vocabulary of the CLI [--strategy], the REPL [\strategy] and the server
@@ -142,7 +140,6 @@ val via_name : via -> string
 
 type execution = {
   result : Relation.t;
-  used_transformation : bool;
   via : via;
   program : Optimizer.Program.t option;
   batches : Optimizer.Batched_nest.batch list;
@@ -172,6 +169,34 @@ val prepare : ?rewrite_not_in:bool -> db -> string -> (prepared, string) result
 (** {!prepare} for an already-analyzed query (no re-parse). *)
 val prepare_query : ?rewrite_not_in:bool -> db -> Sql.Ast.query -> prepared
 
+(** The strategy ladder, top first: untransformed indexed nested
+    iteration ({!indexed_nested_choice}), the verified rewrite, batched
+    bindings ({!Optimizer.Estimate.prefer_batched}), nested iteration.  A
+    forced strategy is a one-rung ladder. *)
+type rung = Indexed_nested | Transformed_rung | Batched_rung | Nested_rung
+
+val rung_name : rung -> string
+val rung_via : rung -> via
+
+(** Why a rung is viable or refused: a note, or the indexed rung's two
+    page-I/O estimates (viable iff [nested_cost < floor]).  A run leaves
+    the rungs below its pick [Unevaluated]. *)
+type reason =
+  | Because of string
+  | Crossover of { nested_cost : float; floor : float }
+
+type verdict = Viable of reason | Refused of reason | Unevaluated
+
+(** The rungs in ladder order, each with its verdict. *)
+type decision = (rung * verdict) list
+
+(** The first viable rung, else the last rung's refusal reason. *)
+val picked : decision -> (rung, string) result
+
+(** What {!run_prepared} executes and EXPLAIN prints, with every rung
+    assessed. *)
+val decide : db -> prepared -> strategy -> decision
+
 (** Execute a prepared statement: exactly {!run} minus the per-statement
     work.  [run p] and [run_prepared (prepare p)] are result-identical —
     the plan-cache test suite holds this across strategies, modes and
@@ -182,24 +207,21 @@ val run_prepared :
   ?mode:Optimizer.Planner.mode ->
   ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
-  ?on_fallback:(string -> unit) ->
   db ->
   prepared ->
   (execution, string) result
 
-(** Run a query.  [trace] turns on per-operator JSON event tracing for
-    plan-based executions (one line per operator open / next-batch /
-    close; see [docs/EXPLAIN.md]).  [rewrite_not_in] and [mode] parameterize
-    the transformed path exactly as {!transform} and
-    {!Optimizer.Planner.run_program} do (the differential oracle sweeps
-    them).  [engine] selects tuple-at-a-time (default) or vectorized batch
-    execution for plan-based paths; nested iteration is tuple-only and
-    ignores it.  Transformed programs are structurally verified
-    ({!Optimizer.Planner.verify_program}) before running; under [Auto] a
-    refused program falls back to nested iteration and [on_fallback]
-    receives the warning.  [check] additionally type-checks every lowered
-    physical plan ({!Analysis.Plan_check}) before it executes and refuses
-    on any violation. *)
+(** Run a query: execute the rung {!decide} picks; a rung that refuses at
+    run time hands over to the rung below it.  [trace] turns on
+    per-operator JSON event tracing for plan-based executions (one line
+    per operator open / next-batch / close; see [docs/EXPLAIN.md]).
+    [rewrite_not_in] and [mode] parameterize the transformed path exactly
+    as {!transform} and {!Optimizer.Planner.run_program} do (the
+    differential oracle sweeps them).  [engine] selects tuple-at-a-time
+    (default) or vectorized batch execution for plan-based paths; nested
+    iteration is tuple-only and ignores it.  [check] additionally
+    type-checks every lowered physical plan ({!Analysis.Plan_check})
+    before it executes and refuses on any violation. *)
 val run :
   ?strategy:strategy ->
   ?check:bool ->
@@ -207,7 +229,6 @@ val run :
   ?mode:Optimizer.Planner.mode ->
   ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
-  ?on_fallback:(string -> unit) ->
   db ->
   string ->
   (execution, string) result
@@ -222,13 +243,15 @@ val query : db -> string -> (Relation.t, string) result
     [trace] receives one JSON line per operator event
     (see [docs/EXPLAIN.md]).  [engine] as in {!run}; under the vectorized
     engine actuals include [rows/call] > 1 and a [batches] count.
-    [strategy] defaults to the transformed path; [Batched _] explains the
-    batched plan instead — the outer block's annotated physical plan plus
-    one [batch] line per WHERE subquery (its correlation keys; under
-    ANALYZE the measured outer-row and distinct-binding counts).
+    [strategy] and [rewrite_not_in] as in {!run}: the rung it would
+    execute is explained.  [Batched _] explains the outer block's plan
+    plus one [batch] line per WHERE subquery.  Under [Auto] a pick other
+    than the rewrite leads with the decision: ["auto: <picked rung>"],
+    then one verdict line per rung.  A forced
     [Nested_iteration] is an error: it has no physical plan. *)
 val explain_query :
   ?strategy:strategy ->
+  ?rewrite_not_in:bool ->
   ?mode:Optimizer.Planner.mode ->
   ?analyze:bool ->
   ?engine:Exec.Plan.engine ->

@@ -338,22 +338,9 @@ let prefer_batched catalog q =
 (* Indexed nested iteration vs transformation (the §7 crossover)       *)
 (* ------------------------------------------------------------------ *)
 
-let subquery_of = function
-  | Cmp_subq (_, _, sub)
-  | In_subq (_, sub)
-  | Not_in_subq (_, sub)
-  | Exists sub
-  | Not_exists sub
-  | Quant (_, _, _, sub) ->
-      Some sub
-  | Cmp _ | Cmp_outer _ -> None
-
 let rec referenced_rels (q : query) : string list =
   List.map (fun (f : from_item) -> f.rel) q.from
-  @ List.concat_map
-      (fun p ->
-        match subquery_of p with Some sub -> referenced_rels sub | None -> [])
-      q.where
+  @ List.concat_map referenced_rels (subqueries q)
 
 (* Every transformed program reads each referenced base relation in full
    at least once — the temp tables of NEST-JA2/NEST-G are built from
@@ -372,9 +359,6 @@ let transformed_floor catalog (q : query) : float =
       | exception Catalog.Unknown_table _ -> 0.)
     0.
     (List.sort_uniq String.compare (referenced_rels q))
-
-let has_subquery (q : query) =
-  List.exists (fun p -> Option.is_some (subquery_of p)) q.where
 
 (* Estimated page I/O of evaluating [q] by nested iteration with the
    current index inventory ([Sysr_iteration]'s probes): each frame costs a
@@ -428,24 +412,20 @@ let indexed_nested_cost catalog (q : query) : float option =
     in
     let aliases = outer_aliases @ List.map from_alias q.from in
     List.fold_left
-      (fun (c, anyp) p ->
-        match subquery_of p with
-        | None -> (c, anyp)
-        | Some sub ->
-            if is_correlated sub then
-              let sc, sp =
-                cost ~outer_aliases:aliases ~evals:(evals *. fanout) sub
-              in
-              (c +. sc, anyp || sp)
-            else
-              (* one evaluation, then each innermost assignment re-reads
-                 the materialized value list (approximated at one page) *)
-              let sc, sp = cost ~outer_aliases:[] ~evals:1. sub in
-              (c +. sc +. (evals *. fanout), anyp || sp))
-      (frame_cost, any_probe)
-      q.where
+      (fun (c, anyp) sub ->
+        if is_correlated sub then
+          let sc, sp =
+            cost ~outer_aliases:aliases ~evals:(evals *. fanout) sub
+          in
+          (c +. sc, anyp || sp)
+        else
+          (* one evaluation, then each innermost assignment re-reads the
+             materialized value list (approximated at one page) *)
+          let sc, sp = cost ~outer_aliases:[] ~evals:1. sub in
+          (c +. sc +. (evals *. fanout), anyp || sp))
+      (frame_cost, any_probe) (subqueries q)
   in
-  if not (has_subquery q) then None
+  if subqueries q = [] then None
   else
     let c, any_probe = cost ~outer_aliases:[] ~evals:1. q in
     if any_probe then Some c else None

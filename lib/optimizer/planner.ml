@@ -699,17 +699,27 @@ let verify_program catalog (p : Program.t) : Analysis.Diagnostics.t list =
 (* Typed validation of a lowered plan (NQ110-NQ115) — the per-segment half
    of [~check]; an Error-severity violation refuses the plan before it
    runs, exactly as [~verify] refuses a structurally broken program. *)
+let errors_only =
+  List.filter (fun (d : Analysis.Diagnostics.t) ->
+      d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
+
 let check_plan ~engine ~label catalog plan =
-  match
-    List.filter
-      (fun (d : Analysis.Diagnostics.t) ->
-        d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-      (Analysis.Plan_check.check_catalog ~engine catalog plan)
-  with
+  let diags = Analysis.Plan_check.check_catalog ~engine catalog plan in
+  match errors_only diags with
   | [] -> ()
   | violations ->
       errf "%s failed plan check:\n%s" label
         (Analysis.Diagnostics.list_to_string violations)
+
+(* The refusal a structurally broken program earns (Error-severity
+   NQ900-NQ906 findings), or [None] when it verifies. *)
+let verification_failure catalog p =
+  match errors_only (verify_program catalog p) with
+  | [] -> None
+  | violations ->
+      Some
+        ("transformed program failed verification:\n"
+        ^ Analysis.Diagnostics.list_to_string violations)
 
 (* Run a whole transformed program: temps in order, then the main query.
    Returns the result; created temps stay registered (callers can inspect
@@ -723,16 +733,8 @@ let run_program ?(force = Auto) ?(mode = Paper1987) ?(verify = false)
     ?(check = false) ?(engine = Exec.Plan.Tuple) ?session catalog
     (p : Program.t) : Relation.t =
   (if verify then
-     match
-       List.filter
-         (fun (d : Analysis.Diagnostics.t) ->
-           d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-         (verify_program catalog p)
-     with
-     | [] -> ()
-     | violations ->
-         errf "transformed program failed verification:\n%s"
-           (Analysis.Diagnostics.list_to_string violations));
+     Option.iter (fun msg -> raise (Planning_error msg))
+       (verification_failure catalog p));
   List.iter
     (fun ({ Program.name; def } : Program.temp) ->
       let { plan; out_sorted } = lower ~force ~mode catalog def in

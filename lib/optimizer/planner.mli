@@ -87,6 +87,9 @@ val materialize_temp :
 val verify_program :
   Storage.Catalog.t -> Program.t -> Analysis.Diagnostics.t list
 
+(** The refusal [run_program ~verify:true] raises, if any. *)
+val verification_failure : Storage.Catalog.t -> Program.t -> string option
+
 (** Run a whole program: temps in order, then the main query.  Temps stay
     registered (the paper's tables print their contents); remove them with
     {!drop_temps}.  [engine] and [session] as in {!materialize_temp}.  With

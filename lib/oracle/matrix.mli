@@ -48,6 +48,9 @@ val candidate_label : candidate -> string
     refuses. *)
 val all_candidates : candidate list
 
+(** Build a B-tree on every column of every table — the index axis. *)
+val index_everything : Core.db -> unit
+
 type verdict =
   | Agree
   | Refused of string  (** transformation declined; not a discrepancy *)

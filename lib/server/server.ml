@@ -262,8 +262,11 @@ let do_execute t (session : Session.t) ~name =
                 (("name", P.Str name) :: result_fields ~cache_status e wall_s)))
 
 let do_explain t ~knobs ~analyze sql =
-  let _, mode, engine, _ = resolve knobs in
-  match Core.explain_query ~mode ~analyze ~engine t.db sql with
+  let strategy, mode, engine, rewrite_not_in = resolve knobs in
+  match
+    Core.explain_query ~strategy ~rewrite_not_in ~mode ~analyze ~engine t.db
+      sql
+  with
   | Ok text -> P.ok_response [ ("text", P.Str text) ]
   | Error e -> P.error_response e
 

@@ -458,8 +458,8 @@ let test_core_run_surfaces_batches () =
   | Error e -> Alcotest.fail e
   | Ok e ->
       Alcotest.(check bool) "via batched" true (e.Core.via = Core.Via_batched);
-      Alcotest.(check bool) "no transformation used" false
-        e.Core.used_transformation;
+      Alcotest.(check bool) "no transformation used" true
+        (e.Core.via <> Core.Via_transformed);
       (match e.Core.batches with
       | [ b ] ->
           Alcotest.(check bool) "outer rows counted" true

@@ -214,7 +214,7 @@ let test_cached_equals_fresh =
               let agree a b =
                 match (a, b) with
                 | Ok (ea : Core.execution), Ok (eb : Core.execution) ->
-                    ea.Core.used_transformation = eb.Core.used_transformation
+                    ea.Core.via = eb.Core.via
                     && Oracle.Matrix.results_agree ~q:p.Core.query
                          ~reference:ea.Core.result ~got:eb.Core.result
                 | Error a, Error b -> a = b
@@ -314,6 +314,37 @@ let test_server_strategy_is_cache_key () =
   (* a replay under the same strategy hits its own cell *)
   let b2 = send_ok server s (query_line ~extra:{|, "strategy": "batched"|} q2) in
   Alcotest.(check string) "batched replay hits" "hit" (str_member "cache" b2);
+  Server.close_session server s
+
+(* The explain verb honours the strategy and rewrite_not_in knobs: it
+   explains the rung the query verb would run under the same knobs. *)
+let test_server_explain_knobs () =
+  let server = Server.create (count_bug_db ()) in
+  let s = Server.open_session server in
+  let explain ?(extra = "") sql =
+    str_member "text"
+      (send_ok server s
+         (Printf.sprintf {|{"op": "explain", "sql": %s%s}|}
+            (P.to_string (P.Str sql)) extra))
+  in
+  Alcotest.(check string) "batched plan"
+    "strategy: batched (outer block plan below)\n\
+     main:\n\
+    \  Project PARTS.PNUM, PARTS.QOH  (cost=1.0 rows=3)\n\
+    \    Scan PARTS  (cost=1.0 rows=3)\n\
+    \ batch = (SELECT ...) batched on PARTS.PNUM\n"
+    (explain ~extra:{|, "strategy": "batched"|} q2);
+  let not_in =
+    "SELECT PNUM FROM PARTS WHERE QOH NOT IN (SELECT QUAN FROM SUPPLY WHERE \
+     SUPPLY.PNUM = PARTS.PNUM)"
+  in
+  Alcotest.(check bool) "auto names its nested pick" true
+    (Astring.String.is_prefix ~affix:"auto: nested iteration\n"
+       (explain not_in));
+  let rewritten = explain ~extra:{|, "rewrite_not_in": true|} not_in in
+  Alcotest.(check bool) "rewrite_not_in yields the transformed plan" true
+    (Astring.String.is_prefix ~affix:"temp TEMP#" rewritten
+    && Astring.String.is_infix ~affix:"\nequivalence: " rewritten);
   Server.close_session server s
 
 let test_server_load_invalidates () =
@@ -530,6 +561,8 @@ let test_cli_bad_flags () =
     "unknown mode quantum";
   check_rejects "run -d kim --strategy sideways \"SELECT SNAME FROM S\""
     "unknown strategy sideways";
+  check_rejects "run -d count-bug -i NOPE.X \"SELECT PNUM FROM PARTS\""
+    "--index: unknown table NOPE";
   (* the well-formed values still work *)
   let code, _ =
     run_cli
@@ -616,6 +649,8 @@ let suites =
           test_server_prepare_execute;
         Alcotest.test_case "strategy knob is part of the cache key" `Quick
           test_server_strategy_is_cache_key;
+        Alcotest.test_case "explain honours strategy and rewrite_not_in"
+          `Quick test_server_explain_knobs;
         Alcotest.test_case "load invalidates and re-prepares" `Quick
           test_server_load_invalidates;
         Alcotest.test_case "indexes rebuilt across load (stale-index fix)"
