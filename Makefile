@@ -81,11 +81,15 @@ bench-json:
 # not parse as JSON, the v5 schema validation fails, batched fails to beat nested iteration on the
 # rewrite-refused skewed type-JA cell, indexed nested iteration fails to
 # beat the unindexed enumeration on physical I/O in the crossover sweep,
-# or no crossover cell picks the untransformed indexed strategy.  Not a
-# perf artifact — it proves the bench harness, both engines and all
-# strategies still run end to end.
+# no crossover cell picks the untransformed indexed strategy, or any
+# smoke cell's rows, page counters or crossover estimates differ from the
+# same cell of the committed BENCH_perf.json.  Then prints every text
+# section (E1-E8, ablations, model, vec, timing) and fails if one exits
+# non-zero.  Not a perf artifact — it proves the bench harness, both
+# engines and all strategies still run end to end.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
+	dune exec bench/main.exe
 
 # API docs (requires odoc; CI installs it).
 doc:

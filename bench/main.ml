@@ -1,10 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index E1-E8), prints paper-vs-ours
-   tables, and runs bechamel micro-benchmarks of the two strategies.
+   tables, ablations and median-of-k wall-clock timings, and writes the
+   BENCH_perf.json perf grid.  Every measured execution goes through
+   [Core.run_prepared], the pipeline users run; only Kim's NEST-JA, the
+   NEST-JA2 projection variants, the model check's temp sizes and the
+   EXPLAIN ANALYZE breakdowns drive the optimizer directly.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig1    # one section
-   Sections: fig1 sec74 bugs figure2 sweep ext timing *)
+     dune exec bench/main.exe              # every section
+     dune exec bench/main.exe -- fig1      # one section
+     dune exec bench/main.exe -- --json    # the perf grid -> BENCH_perf.json
+     dune exec bench/main.exe -- --smoke   # CI-size grid, gated against it
+   Sections: fig1 sec74 bugs figure2 sweep ext strategies buffers indexes
+   projection model vec timing *)
 
 module Value = Relalg.Value
 module Relation = Relalg.Relation
@@ -42,6 +49,114 @@ let ints rel name =
 
 let show_ints rel name =
   "{" ^ String.concat ", " (List.map string_of_int (ints rel name)) ^ "}"
+
+(* ---------------- the one runner ---------------------------------------- *)
+
+(* A Core database holding [catalog]'s tables, registered in the same order
+   on a pager of the same geometry, so its buffer pool starts in the state
+   [catalog]'s does. *)
+let db_of catalog =
+  let pager = Catalog.pager catalog in
+  let db =
+    Core.create_db ~buffer_pages:(Pager.buffer_pages pager)
+      ~page_bytes:(Pager.page_bytes pager) ()
+  in
+  List.iter
+    (fun name ->
+      Catalog.register_relation (Core.catalog db) name
+        (Catalog.relation catalog name))
+    (Catalog.table_names catalog);
+  db
+
+(* The PARTS/SUPPLY scale-up most sections measure on. *)
+let scaled ?(buffer_pages = 8) ?(page_bytes = 128) ?(seed = 42) ~n_parts
+    ~supply_per_part () =
+  db_of
+    (G.scaled_catalog ~buffer_pages ~page_bytes ~seed ~n_parts
+       ~supply_per_part ())
+
+let prepare db text =
+  match Core.prepare db text with
+  | Ok p -> p
+  | Error msg -> invalid_arg (text ^ ": " ^ msg)
+
+(* [f ()] and its wall-clock seconds.  The GC is quiesced first so the
+   garbage of building the database is not collected inside the timed
+   region — without this, major slices land in random reps and a median
+   wobbles by tens of percent. *)
+let timed f =
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
+type sample = { ex : Core.execution; wall : float }
+
+let nested = Core.Nested_iteration
+let transformed = Core.Transformed Planner.Auto
+let batched = Core.Batched Planner.Auto
+
+(* Execute a prepared statement by a forced strategy.  The rewrite is
+   forced before the clock starts, so the time covers the decision's
+   verification, planning and execution.  A refusal is an [Error]. *)
+let exec ?mode ?engine db strategy (p : Core.prepared) =
+  ignore (Lazy.force p.program);
+  let r, wall =
+    timed (fun () -> Core.run_prepared ~strategy ?mode ?engine db p)
+  in
+  Result.map (fun ex -> { ex; wall }) r
+
+let run ?mode ?engine db strategy text =
+  exec ?mode ?engine db strategy (prepare db text)
+
+let answered = function
+  | Ok s -> s
+  | Error msg -> failwith ("unexpected refusal: " ^ msg)
+
+let io s = Pager.total_io s.ex.io
+let rows s = Relation.cardinality s.ex.result
+
+(* Table cells for an execution that may have been refused. *)
+let io_cell = function Ok s -> string_of_int (io s) | Error _ -> "-"
+
+let show_result = function
+  | Ok s -> show_ints s.ex.result "PNUM"
+  | Error _ -> "-"
+
+let same_bag reference = function
+  | Ok s -> string_of_bool (Relation.equal_bag reference s.ex.result)
+  | Error msg -> "refused: " ^ msg
+
+let savings ~nested:n r =
+  match r with
+  | Ok t when io n > 0 ->
+      Printf.sprintf "%.0f%%"
+        (100. *. (1. -. (float_of_int (io t) /. float_of_int (io n))))
+  | Ok _ -> "n/a (all cached)"
+  | Error _ -> "-"
+
+(* Warm-up + median-of-k by [wall].  [once] builds a fresh database for
+   every run (cold pager, no temps left behind), so reps share no state.
+   The warm-up runs absorb allocator and code-path warm-up and the median
+   over [reps] the scheduler noise a single shot is hostage to; the first
+   warm-up run also finds out whether the cell runs at all. *)
+let median_of ~warmup ~reps wall once =
+  match once () with
+  | Error _ as refused -> refused
+  | Ok _ ->
+      for _ = 2 to warmup do
+        ignore (once ())
+      done;
+      let samples = List.init reps (fun _ -> Result.get_ok (once ())) in
+      let sorted =
+        List.sort (fun a b -> Float.compare (wall a) (wall b)) samples
+      in
+      Ok (List.nth sorted (reps / 2))
+
+let sampled ~warmup ~reps ?mode ?engine fresh strategy text =
+  median_of ~warmup ~reps
+    (fun s -> s.wall)
+    (fun () -> run ?mode ?engine (fresh ()) strategy text)
 
 (* ---------------- E1: Figure 1 ---------------------------------------- *)
 
@@ -184,51 +299,48 @@ let bugs () =
   let rows =
     List.map
       (fun (label, variant) ->
-        let catalog = F.parts_supply_catalog variant in
-        let q = F.parse_analyzed catalog q3_style in
-        let reference = Exec.Nested_iter.run catalog q in
-        let program =
-          Nest_g.transform
-            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-            q
-        in
-        let got = Planner.run_program catalog program in
-        [ label; show_ints reference "PNUM"; show_ints got "PNUM";
-          string_of_bool (Relation.equal_bag reference got) ])
+        let db = db_of (F.parts_supply_catalog variant) in
+        let p = prepare db q3_style in
+        let reference = Exec.Nested_iter.run (Core.catalog db) p.query in
+        let got = exec db transformed p in
+        [ label; show_ints reference "PNUM"; show_result got;
+          same_bag reference got ])
       [ ("kiessling data", F.Count_bug); ("sec. 5.3 data", F.Neq_bug);
         ("duplicates data", F.Duplicates) ]
   in
   print_table
     ~title:
       "Multi-level COUNT (Q3-style, two NEST-JA2 applications): NEST-G vs nested iteration"
-    ~header:[ "dataset"; "nested iteration"; "transformed"; "agree" ] rows
+    ~header:[ "dataset"; "nested iteration"; "transformed"; "same bag" ] rows
 
 (* ---------------- E6: Figure 2 ----------------------------------------- *)
 
 let figure2 () =
-  let catalog = F.parts_supply_catalog F.Count_bug in
+  let db = db_of (F.parts_supply_catalog F.Count_bug) in
   let text =
     "SELECT PNUM FROM PARTS WHERE QOH < (SELECT MAX(QUAN) FROM SUPPLY WHERE \
      SUPPLY.QUAN IN (SELECT QUAN FROM SUPPLY C WHERE C.SHIPDATE IN (SELECT \
      SHIPDATE FROM SUPPLY E WHERE E.PNUM = PARTS.PNUM)))"
   in
-  let q = F.parse_analyzed catalog text in
-  let program =
-    Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
+  let p = prepare db text in
+  let reference = Exec.Nested_iter.run (Core.catalog db) p.query in
+  let got = exec db transformed p in
+  let of_program f =
+    match got with
+    | Ok { ex = { program = Some program; _ }; _ } -> f program
+    | _ -> "-"
   in
-  let reference = Exec.Nested_iter.run catalog q in
-  let result = Planner.run_program catalog program in
-  Planner.drop_temps catalog program;
   print_table ~title:"E6 / Figure 2: recursive NEST-G on a 4-block query tree"
     ~header:[ "metric"; "value" ]
     [
-      [ "nesting depth"; string_of_int (Sql.Ast.nesting_depth q) ];
+      [ "nesting depth"; string_of_int (Sql.Ast.nesting_depth p.query) ];
       [ "temp tables created";
-        string_of_int (List.length program.Program.temps) ];
-      [ "canonical"; string_of_bool (Program.is_fully_canonical program) ];
+        of_program (fun pr -> string_of_int (List.length pr.Program.temps)) ];
+      [ "canonical";
+        of_program (fun pr -> string_of_bool (Program.is_fully_canonical pr)) ];
       [ "nested iteration result"; show_ints reference "PNUM" ];
-      [ "transformed result"; show_ints result "PNUM" ];
-      [ "agree"; string_of_bool (Relation.equal_set reference result) ];
+      [ "transformed result"; show_result got ];
+      [ "same bag"; same_bag reference got ];
     ]
 
 (* ---------------- E7: measured page-I/O sweeps -------------------------- *)
@@ -246,49 +358,23 @@ let sweep_queries =
        SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '1-1-80')" );
   ]
 
-let measure_io catalog run =
-  let pager = Catalog.pager catalog in
-  let before = Pager.snapshot pager in
-  let result = run () in
-  (result, Pager.total_io (Pager.diff_since pager before))
-
 let sweep () =
   List.iter
     (fun (kind, text) ->
       let rows =
         List.map
           (fun supply_per_part ->
-            let fresh_catalog () =
-              G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:42
-                ~n_parts:40 ~supply_per_part ()
-            in
-            let c1 = fresh_catalog () in
-            let q1 = F.parse_analyzed c1 text in
-            let reference, nested_io =
-              measure_io c1 (fun () -> Exec.Sysr_iteration.run c1 q1)
-            in
-            let c2 = fresh_catalog () in
-            let q2 = F.parse_analyzed c2 text in
-            let transformed, trans_io =
-              measure_io c2 (fun () ->
-                  let program =
-                    Nest_g.transform
-                      ~fresh:(fun () -> Catalog.fresh_temp_name c2)
-                      q2
-                  in
-                  Planner.run_program c2 program)
-            in
-            let agree = Relation.equal_set reference transformed in
-            let supply_pages = Catalog.pages c2 "SUPPLY" in
+            let fresh () = scaled ~n_parts:40 ~supply_per_part () in
+            let n = answered (run (fresh ()) nested text) in
+            let db = fresh () in
+            let t = run db transformed text in
             [
               string_of_int supply_per_part;
-              string_of_int supply_pages;
-              string_of_int nested_io;
-              string_of_int trans_io;
-              Printf.sprintf "%.0f%%"
-                (100.
-                *. (1. -. (float_of_int trans_io /. float_of_int nested_io)));
-              string_of_bool agree;
+              string_of_int (Catalog.pages (Core.catalog db) "SUPPLY");
+              string_of_int (io n);
+              io_cell t;
+              savings ~nested:n t;
+              same_bag n.ex.result t;
             ])
           [ 2; 4; 8; 16; 32 ]
       in
@@ -299,7 +385,7 @@ let sweep () =
              kind)
         ~header:
           [ "supply/part"; "SUPPLY pages"; "nested I/O"; "transformed I/O";
-            "savings"; "agree" ]
+            "savings"; "same bag" ]
         rows)
     sweep_queries
 
@@ -326,34 +412,16 @@ let ext () =
   let rows =
     List.map
       (fun (name, text) ->
-        let c1 = F.kim_catalog () in
-        let q = F.parse_analyzed c1 text in
-        let reference, nested_io =
-          measure_io c1 (fun () -> Exec.Sysr_iteration.run c1 q)
-        in
-        let c2 = F.kim_catalog () in
-        let q2 = F.parse_analyzed c2 text in
-        let transformed, trans_io =
-          measure_io c2 (fun () ->
-              let program =
-                Nest_g.transform
-                  ~fresh:(fun () -> Catalog.fresh_temp_name c2)
-                  q2
-              in
-              Planner.run_program c2 program)
-        in
-        [
-          name;
-          string_of_int (Relation.cardinality reference);
-          string_of_bool (Relation.equal_set reference transformed);
-          string_of_int nested_io;
-          string_of_int trans_io;
-        ])
+        let n = answered (run (db_of (F.kim_catalog ())) nested text) in
+        let t = run (db_of (F.kim_catalog ())) transformed text in
+        [ name; string_of_int (rows n); same_bag n.ex.result t;
+          string_of_int (io n); io_cell t ])
       cases
   in
   print_table
     ~title:"E8 / sec. 8 extensions: EXISTS / NOT EXISTS / ANY / ALL"
-    ~header:[ "predicate"; "rows"; "agree"; "nested I/O"; "transformed I/O" ]
+    ~header:
+      [ "predicate"; "rows"; "same bag"; "nested I/O"; "transformed I/O" ]
     rows
 
 (* ---------------- ablations -------------------------------------------- *)
@@ -367,20 +435,9 @@ let strategies () =
   let rows =
     List.map
       (fun (label, force) ->
-        let catalog =
-          G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:42
-            ~n_parts:40 ~supply_per_part:16 ()
-        in
-        let q = F.parse_analyzed catalog text in
-        let program =
-          Nest_g.transform
-            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-            q
-        in
-        let result, io =
-          measure_io catalog (fun () -> Planner.run_program ~force catalog program)
-        in
-        [ label; string_of_int io; string_of_int (Relation.cardinality result) ])
+        let db = scaled ~n_parts:40 ~supply_per_part:16 () in
+        let s = answered (run db (Core.Transformed force) text) in
+        [ label; string_of_int (io s); string_of_int (rows s) ])
       [
         ("forced nested-loop", Planner.Force_nl);
         ("forced sort-merge", Planner.Force_merge);
@@ -401,35 +458,13 @@ let buffers () =
   let rows =
     List.map
       (fun b ->
-        let run strategy =
-          let catalog =
-            G.scaled_catalog ~buffer_pages:b ~page_bytes:128 ~seed:42
-              ~n_parts:40 ~supply_per_part:8 ()
-          in
-          let q = F.parse_analyzed catalog text in
-          match strategy with
-          | `Nested ->
-              snd (measure_io catalog (fun () -> Exec.Sysr_iteration.run catalog q))
-          | `Transformed ->
-              snd
-                (measure_io catalog (fun () ->
-                     let program =
-                       Nest_g.transform
-                         ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-                         q
-                     in
-                     Planner.run_program catalog program))
+        let fresh () =
+          scaled ~buffer_pages:b ~n_parts:40 ~supply_per_part:8 ()
         in
-        let nested = run `Nested and transformed = run `Transformed in
-        let savings =
-          if nested = 0 then "n/a (all cached)"
-          else
-            Printf.sprintf "%.0f%%"
-              (100.
-              *. (1. -. (float_of_int transformed /. float_of_int nested)))
-        in
-        [ string_of_int b; string_of_int nested; string_of_int transformed;
-          savings ])
+        let n = answered (run (fresh ()) nested text) in
+        let t = run (fresh ()) transformed text in
+        [ string_of_int b; string_of_int (io n); io_cell t;
+          savings ~nested:n t ])
       [ 4; 8; 16; 32; 64; 128 ]
   in
   print_table
@@ -447,24 +482,10 @@ let indexes () =
       let rows =
         List.map
           (fun (label, with_index, force) ->
-            let catalog =
-              G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:42
-                ~n_parts:10 ~supply_per_part:64 ()
-            in
-            if with_index then
-              Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
-            let q = F.parse_analyzed catalog text in
-            let program =
-              Nest_g.transform
-                ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-                q
-            in
-            let result, io =
-              measure_io catalog (fun () ->
-                  Planner.run_program ~force catalog program)
-            in
-            [ label; string_of_int io;
-              string_of_int (Relation.cardinality result) ])
+            let db = scaled ~n_parts:10 ~supply_per_part:64 () in
+            if with_index then Core.create_index db "SUPPLY" ~column:"PNUM";
+            let s = answered (run db (Core.Transformed force) text) in
+            [ label; string_of_int (io s); string_of_int (rows s) ])
           [
             ("no index, cost-based", false, Planner.Auto);
             ("index on SUPPLY.PNUM, cost-based", true, Planner.Auto);
@@ -481,31 +502,22 @@ let indexes () =
 
 (* The outer projection of NEST-JA2 step 1 (DISTINCT): dropping it is
    cheaper on temps but wrong on duplicate data — the two halves of the
-   paper's sec. 5.4 argument. *)
+   paper's sec. 5.4 argument.  Each variant's program is executed as the
+   prepared statement's rewrite. *)
 let projection () =
   let rows =
     List.map
       (fun (label, project_outer) ->
-        let catalog = F.parts_supply_catalog F.Duplicates in
-        let q = F.parse_analyzed catalog F.query_q2 in
-        let pred = List.hd q.Sql.Ast.where in
+        let db = db_of (F.parts_supply_catalog F.Duplicates) in
+        let p = prepare db F.query_q2 in
         let { Nest_ja2.temps; rewritten } =
-          Nest_ja2.transform q pred
-            ~fresh:(fresh_counter "PT")
-            ~project_outer ()
+          Nest_ja2.transform p.query (List.hd p.query.where)
+            ~fresh:(fresh_counter "PT") ~project_outer ()
         in
-        let result, io =
-          measure_io catalog (fun () ->
-              List.iter (Planner.materialize_temp catalog) temps;
-              Exec.Plan.run catalog (Planner.lower catalog rewritten).Planner.plan)
-        in
-        let reference = Exec.Nested_iter.run catalog q in
-        [
-          label;
-          show_ints result "PNUM";
-          string_of_bool (Relation.equal_set reference result);
-          string_of_int io;
-        ])
+        let program = { Program.temps; main = rewritten } in
+        let reference = Exec.Nested_iter.run (Core.catalog db) p.query in
+        let got = exec db transformed { p with program = lazy (Ok program) } in
+        [ label; show_result got; same_bag reference got; io_cell got ])
       [ ("with DISTINCT projection (NEST-JA2)", true);
         ("without projection (sec. 5.4 variant)", false) ]
   in
@@ -525,21 +537,16 @@ let model () =
   let rows =
     List.map
       (fun (n_parts, supply_per_part) ->
-        let catalog =
-          G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:42 ~n_parts
-            ~supply_per_part ()
+        let fresh () = scaled ~n_parts ~supply_per_part () in
+        let force = Planner.Force_merge in
+        let measured =
+          io (answered (run (fresh ()) (Core.Transformed force) text))
         in
-        let q = F.parse_analyzed catalog text in
-        let program =
-          Nest_g.transform
-            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-            q
-        in
-        let _, measured =
-          measure_io catalog (fun () ->
-              Planner.run_program ~force:Planner.Force_merge catalog program)
-        in
-        (* page counts after the run; temps still registered *)
+        (* run_prepared drops its temps: size them on a second database *)
+        let db = fresh () in
+        let catalog = Core.catalog db in
+        let program = Result.get_ok (Core.transform db text) in
+        ignore (Planner.run_program ~force catalog program);
         let pages name = float_of_int (Catalog.pages catalog name) in
         let temp_pages =
           List.map (fun { Program.name; _ } -> pages name) program.Program.temps
@@ -561,7 +568,6 @@ let model () =
         in
         let predicted = Cost.ja2_total_merge ~rounding:Cost.Ceil p in
         let nested_pred = Cost.nested_iteration ~pi:p.pi ~pj:p.pj ~fi_ni:p.fi_ni in
-        Planner.drop_temps catalog program;
         [
           Printf.sprintf "%dx%d" n_parts supply_per_part;
           f0 p.pi; f0 p.pj;
@@ -592,22 +598,16 @@ let vec () =
     (fun (kind, text) ->
       List.iter
         (fun engine ->
-          let catalog =
-            G.scaled_catalog ~buffer_pages:1024 ~page_bytes:256 ~seed:42
-              ~n_parts:100 ~supply_per_part:100 ()
+          let db =
+            scaled ~buffer_pages:1024 ~page_bytes:256 ~n_parts:100
+              ~supply_per_part:100 ()
           in
-          let q = F.parse_analyzed catalog text in
-          let program =
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
+          let program = Result.get_ok (Core.transform db text) in
+          let text, wall =
+            timed (fun () ->
+                Planner.explain_text ~mode:Planner.Hybrid ~analyze:true ~engine
+                  (Core.catalog db) program)
           in
-          let t0 = Unix.gettimeofday () in
-          let text =
-            Planner.explain_text ~mode:Planner.Hybrid ~analyze:true ~engine
-              catalog program
-          in
-          let wall = Unix.gettimeofday () -. t0 in
           Fmt.pr "@.=== %s / %s engine (%.2fms incl. instrumentation) ===@.%s@."
             kind
             (Exec.Plan.engine_name engine)
@@ -615,158 +615,68 @@ let vec () =
         [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
     sweep_queries
 
-(* ---------------- bechamel timings ------------------------------------- *)
+(* ---------------- wall-clock -------------------------------------------- *)
 
+(* Median-of-k wall-clock of both strategies and of the rewrite alone
+   ([Core.transform]: parse, analyze, NEST-G) on a mid-size workload. *)
 let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  let make_catalog () =
-    G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:7 ~n_parts:30
-      ~supply_per_part:8 ()
+  let warmup = 1 and reps = 9 in
+  let fresh () = scaled ~seed:7 ~n_parts:30 ~supply_per_part:8 () in
+  let wall strategy text =
+    Result.map
+      (fun s -> s.wall)
+      (sampled ~warmup ~reps fresh strategy text)
   in
-  let bench_pair kind text =
-    let c_nested = make_catalog () in
-    let q_nested = F.parse_analyzed c_nested text in
-    let nested =
-      Test.make ~name:(kind ^ " nested-iteration")
-        (Staged.stage (fun () ->
-             ignore (Exec.Sysr_iteration.run c_nested q_nested)))
-    in
-    let c_trans = make_catalog () in
-    let q_trans = F.parse_analyzed c_trans text in
-    let program =
-      Nest_g.transform
-        ~fresh:(fun () -> Catalog.fresh_temp_name c_trans)
-        q_trans
-    in
-    let transformed =
-      Test.make ~name:(kind ^ " transformed")
-        (Staged.stage (fun () ->
-             let r = Planner.run_program c_trans program in
-             Planner.drop_temps c_trans program;
-             ignore r))
-    in
-    let transform_only =
-      Test.make ~name:(kind ^ " transform (rewrite only)")
-        (Staged.stage (fun () ->
-             let n = ref 0 in
-             let fresh () =
-               incr n;
-               Printf.sprintf "T%d" !n
-             in
-             ignore (Nest_g.transform ~fresh q_trans)))
-    in
-    [ nested; transformed; transform_only ]
+  let rewrite_only text =
+    median_of ~warmup ~reps Fun.id (fun () ->
+        let db = fresh () in
+        let r, wall = timed (fun () -> Core.transform db text) in
+        Result.map (fun _ -> wall) r)
   in
-  let tests =
-    List.concat_map (fun (kind, text) -> bench_pair kind text) sweep_queries
+  let show = function
+    | Error msg -> "refused: " ^ msg
+    | Ok s when s >= 1e-3 -> Printf.sprintf "%.2f ms" (s *. 1e3)
+    | Ok s -> Printf.sprintf "%.1f us" (s *. 1e6)
   in
-  let test = Test.make_grouped ~name:"nestopt" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | _ -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
   let rows =
-    List.sort compare !rows
-    |> List.map (fun (name, ns) ->
-           [
-             name;
-             (if Float.is_nan ns then "n/a"
-              else if ns > 1_000_000. then Printf.sprintf "%.2f ms" (ns /. 1e6)
-              else Printf.sprintf "%.1f us" (ns /. 1e3));
-           ])
+    List.concat_map
+      (fun (kind, text) ->
+        [
+          [ kind ^ " nested iteration"; show (wall nested text) ];
+          [ kind ^ " transformed"; show (wall transformed text) ];
+          [ kind ^ " rewrite only"; show (rewrite_only text) ];
+        ])
+      sweep_queries
   in
-  print_table ~title:"Wall-clock (bechamel, monotonic clock, ns/run OLS)"
+  print_table
+    ~title:
+      (Printf.sprintf
+         "Wall-clock (30 parts x 8 supply, B=8; median of %d runs after %d \
+          warm-up, fresh database each)"
+         reps warmup)
     ~header:[ "benchmark"; "time/run" ] rows
 
 (* ---------------- BENCH_perf.json -------------------------------------- *)
 
-(* Machine-readable perf harness: wall-clock (Unix.gettimeofday), logical /
-   physical page I/O and row counts over a fixed query grid (up to a
-   10k-row SUPPLY), comparing nested iteration, the paper-mode pipeline and
-   the hybrid-mode pipeline; plus a pager microbench that pins the O(1)
-   page-touch claim (cost flat as the pool grows).  Written to
-   BENCH_perf.json for regression tracking across commits. *)
+(* Machine-readable perf harness: wall-clock (median-of-k, see
+   [median_of]), logical / physical page I/O and row counts over a fixed
+   query grid (up to a 10k-row SUPPLY), comparing nested iteration, the
+   paper-mode pipeline and the hybrid-mode pipeline; plus a pager
+   microbench that pins the O(1) page-touch claim (cost flat as the pool
+   grows).  Written to BENCH_perf.json for regression tracking across
+   commits. *)
 
-let time_io catalog run =
-  let pager = Catalog.pager catalog in
-  let before = Pager.snapshot pager in
-  (* Quiesce the GC so the catalog build's garbage isn't collected inside
-     the timed region — without this, major slices land in random reps and
-     the median wobbles by tens of percent. *)
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let result = run () in
-  let wall = Unix.gettimeofday () -. t0 in
-  (result, wall, Pager.diff_since pager before)
-
-(* Warm-up + median-of-k timing.  Every sample runs on a {e fresh} catalog
-   (cold pager, fresh temps — [run_program] registers temps under fixed
-   names, so reps must not share state); the parse and the NEST-G rewrite
-   happen outside the timed region, so a cell times planning + execution.
-   The warm-up rep absorbs allocator and code-path warmup; the median over
-   [reps] suppresses scheduler noise that a single-shot number is hostage
-   to. *)
-type sample = { s_rows : int; s_wall : float; s_io : Pager.stats }
-
-let median_sample samples =
-  let sorted =
-    List.sort (fun a b -> Float.compare a.s_wall b.s_wall) samples
-  in
-  List.nth sorted (List.length sorted / 2)
-
-let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
-    ~supply_per_part text strategy =
-  let once () =
-    let catalog =
-      G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
-        ~supply_per_part ()
-    in
-    let q = F.parse_analyzed catalog text in
-    let run =
-      match strategy with
-      | `Nested -> fun () -> Exec.Sysr_iteration.run catalog q
-      | `Transformed (mode, engine) ->
-          let program =
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          in
-          fun () -> Planner.run_program ~mode ~engine catalog program
-    in
-    let result, wall, io = time_io catalog run in
-    { s_rows = Relation.cardinality result; s_wall = wall; s_io = io }
-  in
-  for _ = 1 to warmup do
-    ignore (once ())
-  done;
-  median_sample (List.init reps (fun _ -> once ()))
-
-let strategy_json ~name ~engine { s_rows; s_wall; s_io = io } =
+let strategy_json ~name ~engine s =
+  let io = s.ex.io in
   Json.Obj
     [
       ("name", Str name);
       ("engine", Str engine);
-      ("wall_s", Float s_wall);
+      ("wall_s", Float s.wall);
       ("logical_reads", Int io.Pager.logical_reads);
       ("physical_reads", Int io.Pager.physical_reads);
       ("physical_writes", Int io.Pager.physical_writes);
-      ("rows", Int s_rows);
+      ("rows", Int (rows s));
     ]
 
 (* The grid: 100 parts, SUPPLY scaling 500 -> 10000 rows.  Each transformed
@@ -781,24 +691,21 @@ let json_grid ~scales ~warmup ~reps () =
     (fun (kind, text) ->
       List.map
         (fun supply_per_part ->
-          let run s =
-            run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
-              ~supply_per_part text s
+          let fresh () =
+            scaled ~buffer_pages ~page_bytes ~n_parts ~supply_per_part ()
+          in
+          let run ?mode ?engine strategy =
+            answered (sampled ~warmup ~reps ?mode ?engine fresh strategy text)
           in
           let supply_rows = n_parts * supply_per_part in
-          let nested =
-            if supply_rows <= 2500 then Some (run `Nested) else None
-          in
-          let paper = run (`Transformed (Planner.Paper1987, Exec.Plan.Tuple)) in
-          let paper_vec =
-            run (`Transformed (Planner.Paper1987, Exec.Plan.Vectorized))
-          in
-          let hybrid = run (`Transformed (Planner.Hybrid, Exec.Plan.Tuple)) in
-          let hybrid_vec =
-            run (`Transformed (Planner.Hybrid, Exec.Plan.Vectorized))
-          in
+          let n = if supply_rows <= 2500 then Some (run nested) else None in
+          let rewrite mode engine = run ~mode ~engine transformed in
+          let paper = rewrite Planner.Paper1987 Exec.Plan.Tuple in
+          let paper_vec = rewrite Planner.Paper1987 Exec.Plan.Vectorized in
+          let hybrid = rewrite Planner.Hybrid Exec.Plan.Tuple in
+          let hybrid_vec = rewrite Planner.Hybrid Exec.Plan.Vectorized in
           let strategies =
-            (match nested with
+            (match n with
             | Some r -> [ strategy_json ~name:"nested_iteration" ~engine:"tuple" r ]
             | None -> [])
             @ [
@@ -810,8 +717,8 @@ let json_grid ~scales ~warmup ~reps () =
                   hybrid_vec;
               ]
           in
-          let hybrid_speedup = paper.s_wall /. hybrid.s_wall in
-          let vec_speedup = hybrid.s_wall /. hybrid_vec.s_wall in
+          let hybrid_speedup = paper.wall /. hybrid.wall in
+          let vec_speedup = hybrid.wall /. hybrid_vec.wall in
           ( kind,
             supply_rows,
             hybrid_speedup,
@@ -846,11 +753,12 @@ let json_pager_scaling () =
       Pager.append_page pager f [||]
     done;
     let rng = Random.State.make [| 7 |] in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to touches do
-      ignore (Pager.read_page pager f (Random.State.int rng buffer_pages))
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
+    let (), wall =
+      timed (fun () ->
+          for _ = 1 to touches do
+            ignore (Pager.read_page pager f (Random.State.int rng buffer_pages))
+          done)
+    in
     (buffer_pages, wall *. 1e9 /. float_of_int touches)
   in
   let points = List.map point [ 16; 128; 1024; 8192 ] in
@@ -884,19 +792,13 @@ let json_operator_breakdowns ~supply_per_part () =
     (fun (kind, text) ->
       List.map
         (fun engine ->
-          let catalog =
-            G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
-              ~supply_per_part ()
+          let db =
+            scaled ~buffer_pages ~page_bytes ~n_parts ~supply_per_part ()
           in
-          let q = F.parse_analyzed catalog text in
-          let program =
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          in
+          let program = Result.get_ok (Core.transform db text) in
           let segs =
             Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true ~engine
-              catalog program
+              (Core.catalog db) program
           in
           Json.Obj
             [
@@ -923,17 +825,17 @@ let json_operator_breakdowns ~supply_per_part () =
 (* v4: head-to-head wall-clock of the three strategies on duplicate-skewed
    data — a small key range, so many outer rows share each distinct
    correlation key; exactly the regime batching is built for and the
-   opposite of [scaled_catalog]'s unique keys — at 1k and 10k SUPPLY rows.
-   The quantified type-JA cell is the headline: this harness calls
-   [Nest_g.transform] without catalog NULL knowledge, so the §8 ALL
-   rewrite's conservative COUNT-form guard refuses it, leaving batched as
-   the only optimizing strategy that answers.  The harness asserts batched
+   opposite of [scaled]'s unique keys — at 1k and 10k SUPPLY rows.  SUPPLY
+   carries 1% NULLs in every column.  The quantified type-JA cell is the
+   headline: SUPPLY.QUAN may be NULL, so Core refuses the §8 ALL rewrite's
+   COUNT form (it would accept rows SQL rejects), leaving batched as the
+   only optimizing strategy that answers.  The harness asserts batched
    beats nested iteration on that refused cell (dedup makes it one inner
    evaluation per distinct key instead of per outer row). *)
 
 let skew_queries =
   [
-    (* refused by the conservative rewrite; batched carries it *)
+    (* refused by the rewrite; batched carries it *)
     ( "type-JA-all-refused",
       "SELECT PNUM FROM PARTS WHERE QOH >= ALL (SELECT QUAN FROM SUPPLY \
        WHERE SUPPLY.PNUM = PARTS.PNUM)" );
@@ -943,95 +845,64 @@ let skew_queries =
        WHERE SUPPLY.PNUM = PARTS.PNUM)" );
   ]
 
-let run_skew ~warmup ~reps ~n_parts ~n_supply ~key_range text strategy =
-  let once () =
-    let rng = Random.State.make [| 42 |] in
-    let catalog =
-      G.catalog_of ~buffer_pages:1024 ~page_bytes:256
-        [
-          ("PARTS", G.parts rng ~n:n_parts ~key_range);
-          ("SUPPLY", G.supply rng ~n:n_supply ~key_range);
-        ]
-    in
-    let q = F.parse_analyzed catalog text in
-    let run =
-      match strategy with
-      | `Nested -> Some (fun () -> Exec.Sysr_iteration.run catalog q)
-      | `Batched ->
-          Some
-            (fun () -> (Batched_nest.run catalog q).Batched_nest.relation)
-      | `Rewrite -> (
-          match
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          with
-          | program ->
-              Some
-                (fun () ->
-                  Planner.run_program ~mode:Planner.Hybrid catalog program)
-          | exception Nest_g.Unsupported _
-          | exception Ja_shape.Not_ja _
-          | exception Nest_n_j.Not_applicable _
-          | exception Extensions.Unsupported _ -> None)
-    in
-    Option.map
-      (fun run ->
-        let result, wall, io = time_io catalog run in
-        { s_rows = Relation.cardinality result; s_wall = wall; s_io = io })
-      run
-  in
-  match once () with
-  | None -> None
-  | Some _ ->
-      for _ = 1 to warmup do
-        ignore (once ())
-      done;
-      Some
-        (median_sample
-           (List.init reps (fun _ -> Option.get (once ()))))
+type skew_cell = {
+  sk_kind : string;
+  sk_rows : int;
+  refused : string option;  (** the rewrite's refusal reason *)
+  speedup : float;  (** nested wall / batched wall *)
+  sk_json : Json.t;
+}
 
-(* Returns the JSON cells plus the assertion outcomes: on every refused
-   cell where nested ran, batched must be strictly faster. *)
 let json_batched_comparison ~scales ~warmup ~reps () =
   let n_parts = 500 and key_range = 10 in
   List.concat_map
     (fun n_supply ->
+      let fresh () =
+        let rng = Random.State.make [| 42 |] in
+        db_of
+          (G.catalog_of ~buffer_pages:1024 ~page_bytes:256
+             [
+               ("PARTS", G.parts rng ~n:n_parts ~key_range);
+               ("SUPPLY", G.supply ~null_pct:1 rng ~n:n_supply ~key_range);
+             ])
+      in
       List.map
         (fun (kind, text) ->
-          let run s =
-            run_skew ~warmup ~reps ~n_parts ~n_supply ~key_range text s
-          in
-          let nested = Option.get (run `Nested) in
-          let batched = Option.get (run `Batched) in
-          let rewrite = run `Rewrite in
-          let refused = rewrite = None in
-          let speedup = nested.s_wall /. batched.s_wall in
+          let run ?mode s = sampled ~warmup ~reps ?mode fresh s text in
+          let n = answered (run nested) and b = answered (run batched) in
+          let rewrite = run ~mode:Planner.Hybrid transformed in
+          let speedup = n.wall /. b.wall in
           let strategies =
             [
-              strategy_json ~name:"nested_iteration" ~engine:"tuple" nested;
-              strategy_json ~name:"batched" ~engine:"tuple" batched;
+              strategy_json ~name:"nested_iteration" ~engine:"tuple" n;
+              strategy_json ~name:"batched" ~engine:"tuple" b;
             ]
             @
             match rewrite with
-            | Some r ->
+            | Ok r ->
                 [ strategy_json ~name:"transformed_hybrid" ~engine:"tuple" r ]
-            | None -> []
+            | Error _ -> []
           in
-          let cell =
-            Json.Obj
-              [
-                ("query", Str kind);
-                ("n_parts", Int n_parts);
-                ("supply_rows", Int n_supply);
-                ("key_range", Int key_range);
-                ("rewrite_refused", Bool refused);
-                ("strategies", List strategies);
-                ("batched_speedup_vs_nested", Float speedup);
-              ]
+          let refused =
+            match rewrite with Ok _ -> None | Error msg -> Some msg
           in
-          let beats = (not refused) || batched.s_wall < nested.s_wall in
-          (kind, n_supply, refused, speedup, beats, cell))
+          {
+            sk_kind = kind;
+            sk_rows = n_supply;
+            refused;
+            speedup;
+            sk_json =
+              Json.Obj
+                [
+                  ("query", Str kind);
+                  ("n_parts", Int n_parts);
+                  ("supply_rows", Int n_supply);
+                  ("key_range", Int key_range);
+                  ("rewrite_refused", Bool (Option.is_some refused));
+                  ("strategies", List strategies);
+                  ("batched_speedup_vs_nested", Float speedup);
+                ];
+          })
         skew_queries)
     scales
 
@@ -1057,6 +928,16 @@ let crossover_queries =
        WHERE SUPPLY.PNUM = PARTS.PNUM)" );
   ]
 
+type crossover_cell = {
+  kind : string;
+  outer : int;
+  picks_nested : bool;
+  indexed : sample;
+  unindexed : sample;
+  rewritten : sample;
+  json : Json.t;
+}
+
 let json_index_crossover ~outer_sizes ~warmup ~reps () =
   (* Sparse keys: SUPPLY's PNUM spread over [key_range] values, so each
      outer probe fetches ~supply_rows/key_range matches — the selective
@@ -1068,46 +949,26 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
   let cell (kind, text) n_parts =
     let fresh ~indexed () =
       let rng = Random.State.make [| 42 |] in
-      let db = Core.create_db ~buffer_pages:256 ~page_bytes:256 () in
-      List.iter
-        (fun (name, rel) ->
-          Catalog.register_relation (Core.catalog db) name rel)
-        [
-          ("PARTS", G.parts rng ~n:n_parts ~key_range);
-          ("SUPPLY", G.supply rng ~n:supply_rows ~key_range);
-        ];
+      let db =
+        db_of
+          (G.catalog_of ~buffer_pages:256 ~page_bytes:256
+             [
+               ("PARTS", G.parts rng ~n:n_parts ~key_range);
+               ("SUPPLY", G.supply rng ~n:supply_rows ~key_range);
+             ])
+      in
       if indexed then Core.create_index db "SUPPLY" ~column:"PNUM";
       db
     in
-    let time ~indexed run_of =
-      let once () =
-        let catalog = Core.catalog (fresh ~indexed ()) in
-        let q = F.parse_analyzed catalog text in
-        let result, wall, io = time_io catalog (run_of catalog q) in
-        { s_rows = Relation.cardinality result; s_wall = wall; s_io = io }
-      in
-      for _ = 1 to warmup do
-        ignore (once ())
-      done;
-      median_sample (List.init reps (fun _ -> once ()))
+    let run ?mode ~indexed s =
+      answered (sampled ~warmup ~reps ?mode (fresh ~indexed) s text)
     in
-    let nested catalog q () = Exec.Sysr_iteration.run catalog q in
-    let transformed catalog q =
-      let program =
-        Nest_g.transform
-          ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-          q
-      in
-      fun () -> Planner.run_program ~mode:Planner.Hybrid catalog program
-    in
-    let indexed = time ~indexed:true nested in
-    let unindexed = time ~indexed:false nested in
-    let rewritten = time ~indexed:true transformed in
+    let indexed = run ~indexed:true nested in
+    let unindexed = run ~indexed:false nested in
+    let rewritten = run ~mode:Planner.Hybrid ~indexed:true transformed in
     (* the decision Core.Auto executes, on the indexed catalog *)
     let est_db = fresh ~indexed:true () in
-    let decision =
-      Core.decide est_db (Result.get_ok (Core.prepare est_db text)) Core.Auto
-    in
+    let decision = Core.decide est_db (prepare est_db text) Core.Auto in
     let est_nested, floor =
       match List.assoc Core.Indexed_nested decision with
       | Core.(Viable (Crossover c) | Refused (Crossover c)) ->
@@ -1115,7 +976,7 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
       | _ -> (Json.Null, Json.Null)
     in
     let picks_nested = Core.picked decision = Ok Core.Indexed_nested in
-    let cell_json =
+    let json =
       Json.Obj
         [
           ("query", Str kind);
@@ -1136,15 +997,7 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
               ] );
         ]
     in
-    let probe_pays =
-      Pager.total_io indexed.s_io < Pager.total_io unindexed.s_io
-    in
-    let decision_sound =
-      (not picks_nested)
-      || Pager.total_io indexed.s_io <= Pager.total_io rewritten.s_io
-    in
-    (kind, n_parts, picks_nested, indexed, unindexed, rewritten, probe_pays,
-     decision_sound, cell_json)
+    { kind; outer = n_parts; picks_nested; indexed; unindexed; rewritten; json }
   in
   List.concat_map
     (fun query -> List.map (cell query) outer_sizes)
@@ -1194,6 +1047,81 @@ let validate_v5 doc =
   in
   List.filter (fun k -> not (contains k)) required
 
+(* ROADMAP aim 1: deterministic counters are gated exactly.  Every smoke
+   cell is matched to the committed full run's cell of the same query and
+   size, and every strategy to the one of the same name and engine; they
+   must agree on rows and page counters, and crossover cells also on the
+   decision's estimates and pick.  Returns one line per difference. *)
+let counter_mismatches ~committed smoke =
+  let field k j = Option.value ~default:Json.Null (Json.member k j) in
+  let list k j = match field k j with Json.List l -> l | _ -> [] in
+  let show = Json.to_string in
+  let differ where keys now was =
+    List.filter_map
+      (fun k ->
+        if field k now = field k was then None
+        else
+          Some
+            (Printf.sprintf "%s %s: committed %s, now %s" where k
+               (show (field k was)) (show (field k now))))
+      keys
+  in
+  let strategy_key s = show (field "name" s) ^ "/" ^ show (field "engine" s) in
+  let gate (section, size, cells) =
+    List.concat_map
+      (fun cell ->
+        let key c = (field "query" c, field size c) in
+        let where =
+          Printf.sprintf "%s %s %s=%s" section
+            (show (field "query" cell)) size (show (field size cell))
+        in
+        match List.find_opt (fun c -> key c = key cell) (cells committed) with
+        | None -> [ where ^ ": no committed cell" ]
+        | Some was ->
+            let now_s = list "strategies" cell
+            and was_s = list "strategies" was in
+            differ where
+              [ "picked"; "est_nested_cost"; "transformed_floor" ]
+              cell was
+            @
+            if List.map strategy_key now_s <> List.map strategy_key was_s then
+              [ where ^ ": strategies differ" ]
+            else
+              List.concat
+                (List.map2
+                   (fun now was ->
+                     differ
+                       (where ^ " " ^ strategy_key now)
+                       [ "rows"; "logical_reads"; "physical_reads";
+                         "physical_writes" ]
+                       now was)
+                   now_s was_s))
+      (cells smoke)
+  in
+  List.concat_map gate
+    [
+      ("queries", "supply_rows", list "queries");
+      ("batched_comparison", "supply_rows", list "batched_comparison");
+      ( "index_crossover", "outer_rows",
+        fun j -> list "cells" (field "index_crossover" j) );
+    ]
+
+let read_json path =
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok j -> j
+  | Error e ->
+      Fmt.epr "%s is not valid JSON: %s@." path e;
+      exit 1
+  | exception Sys_error e ->
+      Fmt.epr "cannot read %s: %s@." path e;
+      exit 1
+
+let fail lines =
+  if lines <> [] then begin
+    List.iter (Fmt.epr "%s@.") lines;
+    exit 1
+  end
+
 let json_bench ~smoke () =
   (* Smoke: one small scale, fewer reps — a CI-speed structural run of the
      same code path; the full grid is the perf artifact. *)
@@ -1216,11 +1144,11 @@ let json_bench ~smoke () =
       ~warmup ~reps:(min reps 3) ()
   in
   (* smallest outer size at which the estimates flip to transformed *)
-  let crossover_point kind' =
+  let crossover_point kind =
     List.fold_left
-      (fun acc (kind, n, picks_nested, _, _, _, _, _, _) ->
-        if kind = kind' && not picks_nested then
-          Some (match acc with Some m -> min m n | None -> n)
+      (fun acc c ->
+        if c.kind = kind && not c.picks_nested then
+          Some (match acc with Some m -> min m c.outer | None -> c.outer)
         else acc)
       None crossover
   in
@@ -1258,15 +1186,11 @@ let json_bench ~smoke () =
         ("schema_version", Int 5);
         ("speedup_scale_supply_rows", Int top_scale);
         ("queries", List (List.map (fun (_, _, _, _, j) -> j) grid));
-        ( "batched_comparison",
-          List (List.map (fun (_, _, _, _, _, j) -> j) skew) );
+        ("batched_comparison", List (List.map (fun c -> c.sk_json) skew));
         ( "index_crossover",
           Obj
             [
-              ( "cells",
-                List
-                  (List.map (fun (_, _, _, _, _, _, _, _, j) -> j) crossover)
-              );
+              ("cells", List (List.map (fun c -> c.json) crossover));
               ( "crossover_outer_rows",
                 Obj
                   (List.map
@@ -1293,11 +1217,7 @@ let json_bench ~smoke () =
       Out_channel.output_string oc doc;
       Out_channel.output_char oc '\n');
   (* The written file must parse as JSON before any key check runs. *)
-  (match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-  | Ok _ -> ()
-  | Error e ->
-      Fmt.epr "%s is not valid JSON: %s@." path e;
-      exit 1);
+  let written = read_json path in
   List.iter
     (fun (kind, rows, hybrid_speedup, vec_speedup, _) ->
       Fmt.pr
@@ -1308,21 +1228,22 @@ let json_bench ~smoke () =
   Fmt.pr "pager page-touch flatness (max/min ns over B=16..8192): %.2f@."
     flatness;
   List.iter
-    (fun (kind, rows, refused, speedup, _, _) ->
-      Fmt.pr "%-22s %6d supply rows: batched %.2fx vs nested%s@." kind rows
-        speedup
-        (if refused then " (rewrite refused)" else ""))
+    (fun c ->
+      Fmt.pr "%-22s %6d supply rows: batched %.2fx vs nested%s@." c.sk_kind
+        c.sk_rows c.speedup
+        (match c.refused with
+        | Some msg -> " (rewrite refused: " ^ msg ^ ")"
+        | None -> ""))
     skew;
+  let ios c =
+    Printf.sprintf "io indexed-nested %d / unindexed %d / transformed %d"
+      (io c.indexed) (io c.unindexed) (io c.rewritten)
+  in
   List.iter
-    (fun (kind, n, picks, indexed, unindexed, rewritten, _, _, _) ->
-      Fmt.pr
-        "%-8s %4d outer rows: estimate picks %-11s io indexed-nested %d / \
-         unindexed %d / transformed %d@."
-        kind n
-        (if picks then "nested;" else "transformed;")
-        (Pager.total_io indexed.s_io)
-        (Pager.total_io unindexed.s_io)
-        (Pager.total_io rewritten.s_io))
+    (fun c ->
+      Fmt.pr "%-8s %4d outer rows: estimate picks %-11s %s@." c.kind c.outer
+        (if c.picks_nested then "nested;" else "transformed;")
+        (ios c))
     crossover;
   List.iter
     (fun (kind, _) ->
@@ -1335,62 +1256,54 @@ let json_bench ~smoke () =
   (* The refused cell is batching's reason to exist: if it is not faster
      than row-at-a-time nested iteration on skewed keys, the strategy (or
      its dedup) has regressed. *)
-  let losses =
-    List.filter (fun (_, _, _, _, beats, _) -> not beats) skew
-  in
-  if losses <> [] then begin
-    List.iter
-      (fun (kind, rows, _, speedup, _, _) ->
-        Fmt.epr
-          "batched does NOT beat nested on refused cell %s at %d supply \
-           rows (%.2fx)@."
-          kind rows speedup)
-      losses;
-    exit 1
-  end;
+  fail
+    (List.filter_map
+       (fun c ->
+         if Option.is_some c.refused && not (c.speedup > 1.) then
+           Some
+             (Printf.sprintf
+                "batched does NOT beat nested on refused cell %s at %d \
+                 supply rows (%.2fx)"
+                c.sk_kind c.sk_rows c.speedup)
+         else None)
+       skew);
   (* Index assertions: the probe must pay off (indexed nested beats the
      unindexed enumeration on physical I/O at every cell), the §7 decision
      must be sound (whenever the estimate picks nested, measured I/O must
      agree), and the sweep must contain at least one cell where the
      untransformed indexed iteration is the chosen strategy — the regime
      the paper's uniform-transformation policy misses. *)
-  let index_losses =
-    List.filter
-      (fun (_, _, _, _, _, _, probe_pays, decision_sound, _) ->
-        not (probe_pays && decision_sound))
-      crossover
-  in
-  if index_losses <> [] then begin
-    List.iter
-      (fun (kind, n, picks, indexed, unindexed, rewritten, probe_pays, _, _) ->
-        Fmt.epr
-          "index crossover cell %s at %d outer rows FAILED (%s): io \
-           indexed-nested %d / unindexed %d / transformed %d@."
-          kind n
-          (if probe_pays then "estimate picked nested but lost on io"
-           else "indexed nested did not beat unindexed")
-          (Pager.total_io indexed.s_io)
-          (Pager.total_io unindexed.s_io)
-          (Pager.total_io rewritten.s_io);
-        ignore picks)
-      index_losses;
-    exit 1
-  end;
-  if
-    not
-      (List.exists (fun (_, _, picks, _, _, _, _, _, _) -> picks) crossover)
-  then begin
-    Fmt.epr
-      "no crossover cell picks indexed nested iteration — the §7 regime is \
-       gone@.";
-    exit 1
-  end;
-  match validate_v5 doc with
+  fail
+    (List.filter_map
+       (fun c ->
+         let probe_pays = io c.indexed < io c.unindexed in
+         if not probe_pays then
+           Some
+             (Printf.sprintf
+                "index crossover cell %s at %d outer rows FAILED (indexed \
+                 nested did not beat unindexed): %s"
+                c.kind c.outer (ios c))
+         else if c.picks_nested && io c.indexed > io c.rewritten then
+           Some
+             (Printf.sprintf
+                "index crossover cell %s at %d outer rows FAILED (estimate \
+                 picked nested but lost on io): %s"
+                c.kind c.outer (ios c))
+         else None)
+       crossover);
+  if not (List.exists (fun c -> c.picks_nested) crossover) then
+    fail
+      [ "no crossover cell picks indexed nested iteration — the §7 regime \
+         is gone" ];
+  (match validate_v5 doc with
   | [] -> Fmt.pr "schema v5 check: ok@."
   | missing ->
-      Fmt.epr "schema v5 check FAILED; missing keys:@.";
-      List.iter (fun k -> Fmt.epr "  %s@." k) missing;
-      exit 1
+      fail ("schema v5 check FAILED; missing keys:"
+            :: List.map (fun k -> "  " ^ k) missing));
+  if smoke then begin
+    fail (counter_mismatches ~committed:(read_json "BENCH_perf.json") written);
+    Fmt.pr "counters equal BENCH_perf.json: ok@."
+  end
 
 (* ---------------- driver ------------------------------------------------ *)
 

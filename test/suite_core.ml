@@ -200,6 +200,71 @@ let test_explain_indexed_pick () =
         (Core.via_name e.Core.via)
   | Error msg -> Alcotest.failf "run refused: %s" msg
 
+(* The bench measures every strategy through [Core.run_prepared], which
+   is faithful only if Core adds no page I/O and changes no answer over the
+   executor it dispatches to.  On identically built databases, a forced
+   strategy's [io] and bag equal those of calling that executor directly:
+   [Exec.Sysr_iteration.run] for nested iteration, [Planner.run_program]
+   on [Core.transform]'s program for the rewrite under both planner modes.
+   Cases either side refuses are skipped. *)
+let test_core_adds_no_io =
+  QCheck2.Test.make ~name:"forced strategies: Core adds no page I/O"
+    ~count:100
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let case = Oracle.Gen.case (Random.State.make [| seed |]) in
+      let sql = case.Oracle.Repro.sql in
+      let refusable f =
+        try f () with
+        | Exec.Nested_iter.Runtime_error msg
+        | Exec.Plan.Plan_error msg
+        | Optimizer.Planner.Planning_error msg ->
+            Error msg
+      in
+      let executor mode db =
+        let catalog = Core.catalog db in
+        let pager = Core.Catalog.pager catalog in
+        let metered run =
+          let before = Core.Pager.snapshot pager in
+          let result = run () in
+          (result, Core.Pager.diff_since pager before)
+        in
+        match mode with
+        | None ->
+            Result.map
+              (fun q -> metered (fun () -> Exec.Sysr_iteration.run catalog q))
+              (Core.parse db sql)
+        | Some mode ->
+            Result.map
+              (fun program ->
+                metered (fun () ->
+                    Optimizer.Planner.run_program ~mode catalog program))
+              (Core.transform db sql)
+      in
+      List.for_all
+        (fun (strategy, mode) ->
+          let fresh () = Oracle.Repro.build_db case in
+          match
+            ( refusable (fun () -> Core.run ~strategy ?mode (fresh ()) sql),
+              refusable (fun () -> executor mode (fresh ())) )
+          with
+          | Ok e, Ok (result, io) ->
+              (Relation.equal_bag e.Core.result result && e.Core.io = io)
+              || QCheck2.Test.fail_reportf
+                   "%s\n%s: Core %d rows, %a; executor %d rows, %a" sql
+                   (Core.strategy_name strategy)
+                   (Relation.cardinality e.Core.result)
+                   Core.Pager.pp_stats e.Core.io
+                   (Relation.cardinality result)
+                   Core.Pager.pp_stats io
+          | _ -> true)
+        Optimizer.Planner.
+          [
+            (Core.Nested_iteration, None);
+            (Core.Transformed Auto, Some Paper1987);
+            (Core.Transformed Auto, Some Hybrid);
+          ])
+
 let suites =
   [
     ( "core.facade",
@@ -214,5 +279,6 @@ let suites =
         Alcotest.test_case "explain indexed pick" `Quick
           test_explain_indexed_pick;
         QCheck_alcotest.to_alcotest test_explain_names_run_rung;
+        QCheck_alcotest.to_alcotest test_core_adds_no_io;
       ] );
   ]
