@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke perf-smoke bench bench-json bench-smoke doc clean
+.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke perf-smoke perf-pairs bench bench-json bench-smoke doc clean
 
 all:
 	dune build
@@ -66,6 +66,17 @@ perf-smoke:
 	  echo "$$out"; \
 	  echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
 	done
+
+# Paired A/B benchmark of the working tree against PARENT (a git ref):
+# N alternating pairs of full-length runs of one workload and seed, then
+# each side's median and quartiles per end-to-end metric and the change's
+# win count (scripts/perf_pairs.sh).  Slow: 2 x N x run_seconds.
+PARENT ?= HEAD
+WORKLOAD ?= outofcore_report
+SEED ?= 1
+N ?= 10
+perf-pairs:
+	sh scripts/perf_pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 bench:
 	dune exec bench/main.exe

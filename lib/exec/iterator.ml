@@ -85,17 +85,53 @@ let materialize pager (input : t) : Heap_file.t =
   drain ();
   heap
 
-(* External sort; materializes, sorts, scans. *)
-let sort pager ?(dedup = Storage.External_sort.Keep_duplicates) ~key (input : t)
-    : t =
+(* An operator deletes every heap it creates once it is drained, or the
+   pages stay on the simulated disk for the life of the database (a
+   server's lifetime).  [it] is the last reader of [heap]: the first [None]
+   deletes it, and the flag keeps a second pull after [None] (which
+   [Vec.of_tuple] makes) from deleting it twice.  A consumer may stop
+   before [None] (a merge join whose outer ran out), so the delete is also
+   registered with the run's [heaps], which {!release_all} runs at the
+   end. *)
+type heaps = (unit -> unit) list ref
+
+let heaps () : heaps = ref []
+
+let release_all (heaps : heaps) =
+  let pending = !heaps in
+  heaps := [];
+  List.iter (fun release -> release ()) pending
+
+let delete_when_drained ?(heaps : heaps option) heap (it : t) : t =
+  let live = ref true in
+  let release () =
+    if !live then begin
+      live := false;
+      Heap_file.delete heap
+    end
+  in
+  Option.iter (fun hs -> hs := release :: !hs) heaps;
+  let next () =
+    match it.next () with
+    | Some _ as r -> r
+    | None ->
+        release ();
+        None
+  in
+  { it with next }
+
+(* External sort; materializes, sorts, scans, and frees the sorted heap
+   once drained. *)
+let sort ?heaps pager ?(dedup = Storage.External_sort.Keep_duplicates) ~key
+    (input : t) : t =
   let heap = materialize pager input in
   let sorted = Storage.External_sort.sort pager ~dedup ~key heap in
   Heap_file.delete heap;
-  scan sorted
+  delete_when_drained ?heaps sorted (scan sorted)
 
-let distinct pager (input : t) : t =
+let distinct ?heaps pager (input : t) : t =
   let key = List.init (Schema.arity input.schema) Fun.id in
-  sort pager ~dedup:Storage.External_sort.Drop_duplicates ~key input
+  sort ?heaps pager ~dedup:Storage.External_sort.Drop_duplicates ~key input
 
 (* Hash-based duplicate elimination (beyond the paper): stream the input,
    holding one copy of each distinct row in memory.  No page I/O and no

@@ -29,8 +29,27 @@ val project : idxs:int list -> t -> t
 (** Drain into a fresh heap file (writes counted). *)
 val materialize : Storage.Pager.t -> t -> Storage.Heap_file.t
 
-(** External (B-1)-way merge sort on the given key positions. *)
+(** The heaps one plan execution's operators created and have not yet
+    freed. *)
+type heaps
+
+val heaps : unit -> heaps
+
+(** Delete every heap still registered (those a consumer stopped reading
+    before the end, e.g. the sorted inner of a merge join whose outer ran
+    out first). *)
+val release_all : heaps -> unit
+
+(** [delete_when_drained ?heaps heap it]: [it], the last reader of [heap],
+    deletes [heap] at its first [None] (once, however often it is pulled
+    after); [heaps] also gets the delete, for a consumer that stops early.
+    Every operator-created heap is freed this way. *)
+val delete_when_drained : ?heaps:heaps -> Storage.Heap_file.t -> t -> t
+
+(** External (B-1)-way merge sort on the given key positions; the sorted
+    heap is deleted once the result is drained (or by [heaps]). *)
 val sort :
+  ?heaps:heaps ->
   Storage.Pager.t ->
   ?dedup:Storage.External_sort.dedup ->
   key:int list ->
@@ -38,7 +57,7 @@ val sort :
   t
 
 (** Full-row duplicate elimination (sort-based). *)
-val distinct : Storage.Pager.t -> t -> t
+val distinct : ?heaps:heaps -> Storage.Pager.t -> t -> t
 
 (** Beyond the paper: duplicate elimination via an in-memory hash table —
     one pass, no sort, no page I/O.  Emits rows in first-occurrence order. *)

@@ -230,20 +230,20 @@ let index_nl_join catalog ~outer_join ~cond ~residual ~right
 (* Tuple nested loops: the inner side must be stored so it can be
    re-scanned; scans use the stored heap, other subtrees are materialized
    first via [right_iter] (their pages written and the writes counted). *)
-let nested_loop_join catalog ~outer_join ~cond ~residual ~right
+let nested_loop_join ?heaps catalog ~outer_join ~cond ~residual ~right
     ~(right_iter : unit -> Iterator.t) (lit : Iterator.t) : Iterator.t =
   let pager = Catalog.pager catalog in
-  let right_heap, rschema =
+  let right_heap, rschema, materialized =
     match right with
     | Scan name ->
         let heap = Catalog.heap catalog name in
-        (heap, Schema.rename_rel (Storage.Heap_file.schema heap) name)
+        (heap, Schema.rename_rel (Storage.Heap_file.schema heap) name, false)
     | Rename (alias, Scan name) ->
         let heap = Catalog.heap catalog name in
-        (heap, Schema.rename_rel (Storage.Heap_file.schema heap) alias)
+        (heap, Schema.rename_rel (Storage.Heap_file.schema heap) alias, false)
     | _ ->
         let heap = Iterator.materialize pager (right_iter ()) in
-        (heap, Storage.Heap_file.schema heap)
+        (heap, Storage.Heap_file.schema heap, true)
   in
   let joined_schema = Schema.append lit.Iterator.schema rschema in
   let cond_fns =
@@ -260,6 +260,10 @@ let nested_loop_join catalog ~outer_join ~cond ~residual ~right
       (residual_fn (Row.append l r))
   in
   let it = Iterator.nested_loop_join ~outer_join ~theta lit right_heap in
+  let it =
+    if materialized then Iterator.delete_when_drained ?heaps right_heap it
+    else it
+  in
   { it with Iterator.schema = joined_schema }
 
 (* Group keys and aggregate specs against the input schema. *)
@@ -300,12 +304,14 @@ let engine_of_string = function
 type observer = node -> (unit -> Iterator.t) -> Iterator.t
 type vec_observer = node -> (unit -> Vec.t) -> Vec.t
 
-let rec execute ?observe (catalog : Catalog.t) (node : node) : Iterator.t =
+let rec execute ?observe ?heaps (catalog : Catalog.t) (node : node) :
+    Iterator.t =
   match observe with
-  | None -> execute_node ?observe catalog node
-  | Some f -> f node (fun () -> execute_node ?observe catalog node)
+  | None -> execute_node ?observe ?heaps catalog node
+  | Some f -> f node (fun () -> execute_node ?observe ?heaps catalog node)
 
-and execute_node ?observe (catalog : Catalog.t) (node : node) : Iterator.t =
+and execute_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
+    Iterator.t =
   let pager = Catalog.pager catalog in
   match node with
   | Scan name ->
@@ -316,30 +322,32 @@ and execute_node ?observe (catalog : Catalog.t) (node : node) : Iterator.t =
   | Index_scan { table; alias; column; lo; hi } ->
       index_scan catalog ~table ~alias ~column ~lo ~hi
   | Rename (alias, input) ->
-      let it = execute ?observe catalog input in
+      let it = execute ?observe ?heaps catalog input in
       { it with schema = Schema.rename_rel it.schema alias }
   | Filter (preds, input) ->
-      let it = execute ?observe catalog input in
+      let it = execute ?observe ?heaps catalog input in
       Iterator.filter ~pred:(compile_conjunction it.schema preds) it
   | Project (cols, input) ->
-      let it = execute ?observe catalog input in
+      let it = execute ?observe ?heaps catalog input in
       Iterator.project ~idxs:(List.map (find_col it.schema) cols) it
-  | Distinct input -> Iterator.distinct pager (execute ?observe catalog input)
-  | Hash_distinct input -> Iterator.hash_distinct (execute ?observe catalog input)
+  | Distinct input ->
+      Iterator.distinct ?heaps pager (execute ?observe ?heaps catalog input)
+  | Hash_distinct input ->
+      Iterator.hash_distinct (execute ?observe ?heaps catalog input)
   | Sort (cols, input) ->
-      let it = execute ?observe catalog input in
-      Iterator.sort pager ~key:(List.map (find_col it.schema) cols) it
+      let it = execute ?observe ?heaps catalog input in
+      Iterator.sort ?heaps pager ~key:(List.map (find_col it.schema) cols) it
   | Join { method_; kind; cond; residual; left; right } -> (
-      let lit = execute ?observe catalog left in
+      let lit = execute ?observe ?heaps catalog left in
       let outer_join = kind = Left_outer in
       match method_ with
       | Index_nl -> index_nl_join catalog ~outer_join ~cond ~residual ~right lit
       | Nested_loop ->
-          nested_loop_join catalog ~outer_join ~cond ~residual ~right
-            ~right_iter:(fun () -> execute ?observe catalog right)
+          nested_loop_join ?heaps catalog ~outer_join ~cond ~residual ~right
+            ~right_iter:(fun () -> execute ?observe ?heaps catalog right)
             lit
       | Hash ->
-          let rit = execute ?observe catalog right in
+          let rit = execute ?observe ?heaps catalog right in
           let left_key, right_key, null_safe, residual, joined_schema =
             equi_join_parts ~method_name:"hash" lit.schema rit.schema ~cond
               ~residual
@@ -350,7 +358,7 @@ and execute_node ?observe (catalog : Catalog.t) (node : node) : Iterator.t =
           in
           { it with schema = joined_schema }
       | Sort_merge ->
-          let rit = execute ?observe catalog right in
+          let rit = execute ?observe ?heaps catalog right in
           let left_key, right_key, null_safe, residual, joined_schema =
             equi_join_parts ~method_name:"sort-merge" lit.schema rit.schema
               ~cond ~residual
@@ -362,7 +370,7 @@ and execute_node ?observe (catalog : Catalog.t) (node : node) : Iterator.t =
           { it with schema = joined_schema })
   | Group_agg { group_by; aggs; input } | Hash_group_agg { group_by; aggs; input }
     ->
-      let it = execute ?observe catalog input in
+      let it = execute ?observe ?heaps catalog input in
       let group_key, agg_specs = group_agg_parts it.schema ~group_by ~aggs in
       let schema = output_schema catalog node in
       let agg_op =
@@ -376,12 +384,13 @@ and execute_node ?observe (catalog : Catalog.t) (node : node) : Iterator.t =
    distinct/join/group) run batch-at-a-time through [Vec]; sort-based
    operators and the nested-loop family run the tuple implementation
    between adapters, so any plan executes under either engine. *)
-let rec execute_vec ?observe (catalog : Catalog.t) (node : node) : Vec.t =
+let rec execute_vec ?observe ?heaps (catalog : Catalog.t) (node : node) : Vec.t =
   match observe with
-  | None -> execute_vec_node ?observe catalog node
-  | Some f -> f node (fun () -> execute_vec_node ?observe catalog node)
+  | None -> execute_vec_node ?observe ?heaps catalog node
+  | Some f -> f node (fun () -> execute_vec_node ?observe ?heaps catalog node)
 
-and execute_vec_node ?observe (catalog : Catalog.t) (node : node) : Vec.t =
+and execute_vec_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
+    Vec.t =
   let pager = Catalog.pager catalog in
   match node with
   | Scan name ->
@@ -390,18 +399,18 @@ and execute_vec_node ?observe (catalog : Catalog.t) (node : node) : Vec.t =
   | Index_scan { table; alias; column; lo; hi } ->
       Vec.of_tuple (index_scan catalog ~table ~alias ~column ~lo ~hi)
   | Rename (alias, input) ->
-      let v = execute_vec ?observe catalog input in
+      let v = execute_vec ?observe ?heaps catalog input in
       Vec.with_schema v (Schema.rename_rel v.Vec.schema alias)
   | Filter (preds, input) ->
-      let v = execute_vec ?observe catalog input in
+      let v = execute_vec ?observe ?heaps catalog input in
       Vec.filter ~pred:(Vec.compile_conjunction v.Vec.schema preds) v
   | Project (cols, Join { method_ = Hash; kind; cond; residual; left; right })
     when observe = None ->
       (* Late materialization: fuse the projection into the hash join's
          gather so dropped columns are never copied.  Skipped under
          [observe] to keep per-node EXPLAIN ANALYZE accounting intact. *)
-      let lv = execute_vec ?observe catalog left in
-      let rv = execute_vec ?observe catalog right in
+      let lv = execute_vec ?observe ?heaps catalog left in
+      let rv = execute_vec ?observe ?heaps catalog right in
       let left_key, right_key, null_safe, residual, joined_schema =
         equi_join_parts ~method_name:"hash" lv.Vec.schema rv.Vec.schema ~cond
           ~residual
@@ -410,23 +419,25 @@ and execute_vec_node ?observe (catalog : Catalog.t) (node : node) : Vec.t =
       Vec.hash_join ~outer_join:(kind = Left_outer) ~null_safe ?residual
         ~project:idxs ~left_key ~right_key lv rv
   | Project (cols, input) ->
-      let v = execute_vec ?observe catalog input in
+      let v = execute_vec ?observe ?heaps catalog input in
       let idxs = List.map (find_col v.Vec.schema) cols in
       Vec.project
         ~schema:(Schema.project v.Vec.schema idxs)
         ~positions:(Array.of_list idxs) v
   | Distinct input ->
       Vec.of_tuple
-        (Iterator.distinct pager (Vec.to_tuple (execute_vec ?observe catalog input)))
-  | Hash_distinct input -> Vec.hash_distinct (execute_vec ?observe catalog input)
+        (Iterator.distinct ?heaps pager
+           (Vec.to_tuple (execute_vec ?observe ?heaps catalog input)))
+  | Hash_distinct input ->
+      Vec.hash_distinct (execute_vec ?observe ?heaps catalog input)
   | Sort (cols, input) ->
-      let v = execute_vec ?observe catalog input in
+      let v = execute_vec ?observe ?heaps catalog input in
       Vec.of_tuple
-        (Iterator.sort pager
+        (Iterator.sort ?heaps pager
            ~key:(List.map (find_col v.Vec.schema) cols)
            (Vec.to_tuple v))
   | Join { method_; kind; cond; residual; left; right } -> (
-      let lv = execute_vec ?observe catalog left in
+      let lv = execute_vec ?observe ?heaps catalog left in
       let outer_join = kind = Left_outer in
       match method_ with
       | Index_nl ->
@@ -435,12 +446,12 @@ and execute_vec_node ?observe (catalog : Catalog.t) (node : node) : Vec.t =
                (Vec.to_tuple lv))
       | Nested_loop ->
           Vec.of_tuple
-            (nested_loop_join catalog ~outer_join ~cond ~residual ~right
+            (nested_loop_join ?heaps catalog ~outer_join ~cond ~residual ~right
                ~right_iter:(fun () ->
-                 Vec.to_tuple (execute_vec ?observe catalog right))
+                 Vec.to_tuple (execute_vec ?observe ?heaps catalog right))
                (Vec.to_tuple lv))
       | Hash ->
-          let rv = execute_vec ?observe catalog right in
+          let rv = execute_vec ?observe ?heaps catalog right in
           let left_key, right_key, null_safe, residual, _joined_schema =
             equi_join_parts ~method_name:"hash" lv.Vec.schema rv.Vec.schema
               ~cond ~residual
@@ -448,7 +459,7 @@ and execute_vec_node ?observe (catalog : Catalog.t) (node : node) : Vec.t =
           Vec.hash_join ~outer_join ~null_safe ?residual ~left_key ~right_key
             lv rv
       | Sort_merge ->
-          let rv = execute_vec ?observe catalog right in
+          let rv = execute_vec ?observe ?heaps catalog right in
           let left_key, right_key, null_safe, residual, joined_schema =
             equi_join_parts ~method_name:"sort-merge" lv.Vec.schema
               rv.Vec.schema ~cond ~residual
@@ -459,24 +470,33 @@ and execute_vec_node ?observe (catalog : Catalog.t) (node : node) : Vec.t =
           in
           Vec.of_tuple { it with Iterator.schema = joined_schema })
   | Group_agg { group_by; aggs; input } ->
-      let v = execute_vec ?observe catalog input in
+      let v = execute_vec ?observe ?heaps catalog input in
       let group_key, agg_specs = group_agg_parts v.Vec.schema ~group_by ~aggs in
       let schema = output_schema catalog node in
       Vec.of_tuple
         (Iterator.group_agg_sorted ~group_key ~aggs:agg_specs ~schema
            (Vec.to_tuple v))
   | Hash_group_agg { group_by; aggs; input } ->
-      let v = execute_vec ?observe catalog input in
+      let v = execute_vec ?observe ?heaps catalog input in
       let group_key, agg_specs = group_agg_parts v.Vec.schema ~group_by ~aggs in
       let schema = output_schema catalog node in
       Vec.hash_group_agg ~group_key ~aggs:agg_specs ~schema v
 
+(* A run owns the heaps its operators create: each is freed when drained,
+   and whatever an operator left undrained (the sorted inner of a merge
+   join whose outer ran out first) is freed when the run ends or fails. *)
+let with_heaps f =
+  let heaps = Iterator.heaps () in
+  Fun.protect ~finally:(fun () -> Iterator.release_all heaps) (fun () -> f heaps)
+
 let run ?observe catalog node : Relalg.Relation.t =
-  Iterator.to_relation (execute ?observe catalog node)
+  with_heaps (fun heaps ->
+      Iterator.to_relation (execute ?observe ~heaps catalog node))
 
 let run_vec ?observe catalog node : Relalg.Relation.t =
-  let v = execute_vec ?observe catalog node in
-  Relalg.Relation.make v.Vec.schema (Vec.to_rows v)
+  with_heaps (fun heaps ->
+      let v = execute_vec ?observe ~heaps catalog node in
+      Relalg.Relation.make v.Vec.schema (Vec.to_rows v))
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)

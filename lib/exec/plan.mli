@@ -81,18 +81,32 @@ type vec_observer = node -> (unit -> Vec.t) -> Vec.t
     Sort-merge joins require plan-inserted [Sort]s (or born-sorted inputs);
     [Group_agg] requires input sorted on [group_by] ([Hash_group_agg] does
     not).  [observe] wraps every operator as it is built.
+    [heaps] collects the heaps the operators create, for
+    {!Iterator.release_all} once the result is consumed; {!run} and
+    {!run_vec} do this themselves.
     @raise Plan_error on malformed plans. *)
-val execute : ?observe:observer -> Storage.Catalog.t -> node -> Iterator.t
+val execute :
+  ?observe:observer ->
+  ?heaps:Iterator.heaps ->
+  Storage.Catalog.t ->
+  node ->
+  Iterator.t
 
 (** Execute batch-at-a-time.  Same plan contract and semantics as
     {!execute}; scans, filters, projections and the hash operators run
     vectorized, everything else through tuple adapters. *)
-val execute_vec : ?observe:vec_observer -> Storage.Catalog.t -> node -> Vec.t
+val execute_vec :
+  ?observe:vec_observer ->
+  ?heaps:Iterator.heaps ->
+  Storage.Catalog.t ->
+  node ->
+  Vec.t
 
-(** [execute] and collect the rows. *)
+(** [execute] and collect the rows; every heap the run created is
+    deleted when it returns or raises. *)
 val run : ?observe:observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
 
-(** [execute_vec] and collect the rows. *)
+(** [execute_vec] and collect the rows; heaps as in {!run}. *)
 val run_vec :
   ?observe:vec_observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
 

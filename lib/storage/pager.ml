@@ -15,7 +15,12 @@
    matters for the measured experiments: with the earlier list-based LRU a
    page touch cost O(B), so enlarging the buffer pool made every *logical*
    read slower and wall-clock measurements conflated plan structure with
-   bookkeeping overhead. *)
+   bookkeeping overhead.
+
+   Both the disk and the frame table are keyed by one int packing
+   (file, page) and use a monomorphic hashtable with an inline arithmetic
+   hash, so a page touch pays neither OCaml's generic structural hash nor
+   its polymorphic compare. *)
 
 module Row = Relalg.Row
 
@@ -23,7 +28,22 @@ type file_id = int
 
 type page = Row.t array
 
-type key = file_id * int
+(* [(file lsl 32) lor page]; pages of a file are numbered below 2^32. *)
+type key = int
+
+let page_bits = 32
+
+let key file i = (file lsl page_bits) lor i
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  (* The table indexes buckets by the low bits: the page number plus the
+     file id spread by an odd multiplier. *)
+  let hash k = ((k lsr page_bits) * 0x9E3779B1 + k) land max_int
+end)
 
 type stats = {
   mutable logical_reads : int;
@@ -43,14 +63,14 @@ type frame = {
 type t = {
   buffer_pages : int;
   page_bytes : int;
-  disk : (key, page) Hashtbl.t;
-  frames : (key, frame) Hashtbl.t;
+  disk : page Int_tbl.t;
+  frames : frame Int_tbl.t;
   mutable mru : frame option; (* most recently used *)
   mutable lru_end : frame option; (* least recently used *)
   mutable n_frames : int;
   stats : stats;
   mutable next_file : file_id;
-  file_pages : (file_id, int ref) Hashtbl.t;
+  file_pages : int ref Int_tbl.t;
 }
 
 let create ?(buffer_pages = 8) ?(page_bytes = 4096) () =
@@ -58,20 +78,21 @@ let create ?(buffer_pages = 8) ?(page_bytes = 4096) () =
   {
     buffer_pages;
     page_bytes;
-    disk = Hashtbl.create 256;
-    frames = Hashtbl.create (2 * buffer_pages);
+    disk = Int_tbl.create 256;
+    frames = Int_tbl.create (2 * buffer_pages);
     mru = None;
     lru_end = None;
     n_frames = 0;
     stats = { logical_reads = 0; physical_reads = 0; physical_writes = 0 };
     next_file = 0;
-    file_pages = Hashtbl.create 16;
+    file_pages = Int_tbl.create 16;
   }
 
 let buffer_pages t = t.buffer_pages
 let page_bytes t = t.page_bytes
 let stats t = t.stats
 let resident_pages t = t.n_frames
+let stored_pages t = Int_tbl.length t.disk
 
 let reset_stats t =
   t.stats.logical_reads <- 0;
@@ -107,11 +128,11 @@ let without_accounting t f =
 let create_file t =
   let id = t.next_file in
   t.next_file <- id + 1;
-  Hashtbl.replace t.file_pages id (ref 0);
+  Int_tbl.replace t.file_pages id (ref 0);
   id
 
 let page_count t file =
-  match Hashtbl.find_opt t.file_pages file with
+  match Int_tbl.find_opt t.file_pages file with
   | Some r -> !r
   | None -> invalid_arg "Pager.page_count: unknown file"
 
@@ -139,29 +160,30 @@ let evict_beyond_capacity t =
     | None -> assert false (* n_frames > 0 implies a tail *)
     | Some victim ->
         unlink t victim;
-        Hashtbl.remove t.frames victim.f_key;
+        Int_tbl.remove t.frames victim.f_key;
         t.n_frames <- t.n_frames - 1
   done
 
 (* The write-through policy means eviction never incurs I/O (no dirty
    pages). *)
 let insert_frame t key page =
-  (match Hashtbl.find_opt t.frames key with
+  (match Int_tbl.find_opt t.frames key with
   | Some old ->
       unlink t old;
-      Hashtbl.remove t.frames key;
+      Int_tbl.remove t.frames key;
       t.n_frames <- t.n_frames - 1
   | None -> ());
   let fr = { f_key = key; f_page = page; prev = None; next = None } in
-  Hashtbl.replace t.frames key fr;
+  Int_tbl.replace t.frames key fr;
   push_front t fr;
   t.n_frames <- t.n_frames + 1;
   evict_beyond_capacity t
 
 let read_page t file i : page =
-  let key = (file, i) in
+  if i lsr page_bits <> 0 then invalid_arg "Pager.read_page: no such page";
+  let key = key file i in
   t.stats.logical_reads <- t.stats.logical_reads + 1;
-  match Hashtbl.find_opt t.frames key with
+  match Int_tbl.find_opt t.frames key with
   | Some fr ->
       (match t.mru with
       | Some m when m == fr -> () (* already most recent *)
@@ -170,7 +192,7 @@ let read_page t file i : page =
           push_front t fr);
       fr.f_page
   | None -> (
-      match Hashtbl.find_opt t.disk key with
+      match Int_tbl.find_opt t.disk key with
       | None -> invalid_arg "Pager.read_page: no such page"
       | Some page ->
           t.stats.physical_reads <- t.stats.physical_reads + 1;
@@ -179,27 +201,27 @@ let read_page t file i : page =
 
 let append_page t file (rows : Row.t array) =
   let counter =
-    match Hashtbl.find_opt t.file_pages file with
+    match Int_tbl.find_opt t.file_pages file with
     | Some r -> r
     | None -> invalid_arg "Pager.append_page: unknown file"
   in
   let i = !counter in
   incr counter;
-  let key = (file, i) in
-  Hashtbl.replace t.disk key rows;
+  let key = key file i in
+  Int_tbl.replace t.disk key rows;
   t.stats.physical_writes <- t.stats.physical_writes + 1;
   insert_frame t key rows
 
 let delete_file t file =
   let n = page_count t file in
   for i = 0 to n - 1 do
-    let key = (file, i) in
-    Hashtbl.remove t.disk key;
-    match Hashtbl.find_opt t.frames key with
+    let key = key file i in
+    Int_tbl.remove t.disk key;
+    match Int_tbl.find_opt t.frames key with
     | None -> ()
     | Some fr ->
         unlink t fr;
-        Hashtbl.remove t.frames key;
+        Int_tbl.remove t.frames key;
         t.n_frames <- t.n_frames - 1
   done;
-  Hashtbl.remove t.file_pages file
+  Int_tbl.remove t.file_pages file

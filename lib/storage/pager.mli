@@ -24,6 +24,12 @@ val page_bytes : t -> int
 (** Frames currently held in the pool (≤ [buffer_pages]). *)
 val resident_pages : t -> int
 
+(** Pages currently stored on the simulated disk, over all files: base
+    tables, indexes and any temporary heap not yet deleted.  Read-only
+    and free of I/O accounting; a query that deletes every heap it
+    creates leaves it where it found it. *)
+val stored_pages : t -> int
+
 val stats : t -> stats
 val reset_stats : t -> unit
 

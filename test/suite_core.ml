@@ -265,6 +265,69 @@ let test_core_adds_no_io =
             (Core.Transformed Auto, Some Hybrid);
           ])
 
+(* Every heap an operator creates (sort runs and output, a materialized
+   nested-loop inner, temps) is deleted by the time the run returns, so
+   the simulated disk holds exactly what it held before.  Larger PARTS /
+   SUPPLY tables (with NULLs) over a 3-page pool of 64-byte pages make
+   every sort a multi-run, multi-pass merge. *)
+let test_runs_free_their_heaps () =
+  let db = Core.create_db ~buffer_pages:3 ~page_bytes:64 () in
+  let int_or_null n = if n mod 7 = 0 then Value.Null else Value.Int n in
+  Core.define_table db "PARTS" F.parts_schema
+    (List.init 40 (fun n ->
+         [ Value.Int (n mod 25); int_or_null ((n * 7) mod 9) ]));
+  Core.define_table db "SUPPLY" F.supply_schema
+    (List.init 160 (fun n ->
+         [
+           int_or_null ((n * 13) mod 31);
+           Value.Int (n mod 6);
+           F.date (if n mod 3 = 0 then "7-3-79" else "8-10-81");
+         ]));
+  let queries =
+    [
+      "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY WHERE \
+       QUAN > 2)";
+      "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY WHERE \
+       SUPPLY.QUAN >= PARTS.QOH)";
+      "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY \
+       WHERE SUPPLY.PNUM = PARTS.PNUM)";
+      F.query_q2;
+      "SELECT PNUM FROM PARTS WHERE NOT EXISTS (SELECT PNUM FROM SUPPLY \
+       WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN > 3)";
+    ]
+  in
+  let joins = Optimizer.Planner.[ Auto; Force_nl; Force_merge; Force_hash ] in
+  let strategies =
+    (Core.Nested_iteration :: Core.Auto
+     :: List.map (fun j -> Core.Transformed j) joins)
+    @ List.map (fun j -> Core.Batched j) joins
+  in
+  let pager = Core.Catalog.pager (Core.catalog db) in
+  let ran = ref 0 in
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun mode ->
+              List.iter
+                (fun engine ->
+                  let before = Core.Pager.stored_pages pager in
+                  (match Core.run ~strategy ~mode ~engine db sql with
+                  | Ok _ -> incr ran
+                  | Error _ -> ());
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s / %s / %s: stored pages" sql
+                       (Core.strategy_name strategy)
+                       (Exec.Plan.engine_name engine))
+                    before
+                    (Core.Pager.stored_pages pager))
+                Exec.Plan.[ Tuple; Vectorized ])
+            Optimizer.Planner.[ Paper1987; Hybrid ])
+        strategies)
+    queries;
+  Alcotest.(check bool) "most cells ran" true (!ran > 100)
+
 let suites =
   [
     ( "core.facade",
@@ -280,5 +343,7 @@ let suites =
           test_explain_indexed_pick;
         QCheck_alcotest.to_alcotest test_explain_names_run_rung;
         QCheck_alcotest.to_alcotest test_core_adds_no_io;
+        Alcotest.test_case "runs free their heaps" `Quick
+          test_runs_free_their_heaps;
       ] );
   ]

@@ -386,6 +386,165 @@ let prop_sort_matches_list_sort =
       && sort_values pager ~dedup:External_sort.Drop_duplicates xs
          = List.sort_uniq compare xs)
 
+(* --- External sort at full strength: multi-column keys, mixed ties ---------
+
+   [Int n], [Float n.] and NULL rows with multi-column keys over a 48-byte
+   page (two 3-column rows) and B in {3, 4, 64}: up to 25 runs and five
+   2-way merge passes.  Rows [compare]-equal but structurally different
+   ([Int 1] vs [Float 1.]) make the merge's tie order observable. *)
+
+let mixed_schema =
+  Schema.of_columns ~rel:"T"
+    [ ("a", Value.Tint); ("b", Value.Tint); ("c", Value.Tint) ]
+
+(* The §7 shape of a sort's page traffic, as (logical reads, physical
+   writes): pass 0 reads the P input pages and writes runs of B pages; each
+   (B-1)-way merge pass reads every run page once and writes its output,
+   which under [Drop_duplicates] holds one row per [Row.equal] class of the
+   group.  A lone run is merged only to drop duplicates. *)
+let sort_io_model ~b ~rows_per_page ~dedup rows =
+  let pages rs = (List.length rs + rows_per_page - 1) / rows_per_page in
+  let drop = dedup = External_sort.Drop_duplicates in
+  let reads = ref (pages rows) and writes = ref 0 in
+  let rec chunk acc cur n = function
+    | [] -> List.rev (if cur = [] && acc <> [] then acc else cur :: acc)
+    | r :: rest when n = b * rows_per_page -> chunk (cur :: acc) [ r ] 1 rest
+    | r :: rest -> chunk acc (r :: cur) (n + 1) rest
+  in
+  let runs = chunk [] [] 0 rows in
+  List.iter (fun run -> writes := !writes + pages run) runs;
+  let merge group =
+    List.iter (fun run -> reads := !reads + pages run) group;
+    let out = List.concat group in
+    let out = if drop then List.sort_uniq Row.compare out else out in
+    writes := !writes + pages out;
+    out
+  in
+  let fan_in = max 2 (b - 1) in
+  let rec pass acc group = function
+    | [] -> List.rev (if group = [] then acc else merge (List.rev group) :: acc)
+    | run :: rest when List.length group = fan_in ->
+        pass (merge (List.rev group) :: acc) [ run ] rest
+    | run :: rest -> pass acc (run :: group) rest
+  in
+  let rec merge_all = function
+    | [] | [ _ ] -> ()
+    | runs -> merge_all (pass [] [] runs)
+  in
+  (match runs with
+  | [ single ] when drop -> ignore (merge [ single ])
+  | runs -> merge_all runs);
+  (!reads, !writes)
+
+let sort_mixed ~b ~dedup ~key rows =
+  let pager = Pager.create ~buffer_pages:b ~page_bytes:48 () in
+  let heap = Heap_file.of_relation pager (Relation.make mixed_schema rows) in
+  Pager.reset_stats pager;
+  let sorted = External_sort.sort pager ~dedup ~key heap in
+  let s = Pager.stats pager in
+  let io = (s.logical_reads, s.physical_reads, s.physical_writes) in
+  (Relation.rows (Heap_file.to_relation sorted), io)
+
+let gen_mixed_sort =
+  QCheck2.Gen.(
+    let value =
+      oneof
+        [
+          map (fun n -> Value.Int n) (int_range 0 3);
+          map (fun n -> Value.Float (float_of_int n)) (int_range 0 3);
+          pure Value.Null;
+        ]
+    in
+    quad
+      (list_size (int_range 0 150) (map Row.of_list (list_repeat 3 value)))
+      (oneofl [ [ 0 ]; [ 2 ]; [ 1; 0 ]; [ 2; 1 ]; [ 0; 1; 2 ]; [ 2; 0; 1 ] ])
+      (oneofl [ 3; 4; 64 ])
+      (oneofl External_sort.[ Keep_duplicates; Drop_duplicates ]))
+
+let prop_sort_mixed_ties =
+  QCheck2.Test.make
+    ~name:"external sort: multi-column keys, mixed Int/Float/NULL ties"
+    ~count:200 gen_mixed_sort (fun (rows, key, b, dedup) ->
+      let out, (logical, physical, writes) = sort_mixed ~b ~dedup ~key rows in
+      let rec ordered = function
+        | x :: (y :: _ as rest) ->
+            let c = Row.compare_on key x y in
+            (c < 0 || (c = 0 && Row.compare x y <= 0)) && ordered rest
+        | _ -> true
+      in
+      let rec no_adjacent_equal = function
+        | x :: (y :: _ as rest) -> (not (Row.equal x y)) && no_adjacent_equal rest
+        | _ -> true
+      in
+      let permutation =
+        match dedup with
+        | External_sort.Keep_duplicates ->
+            List.sort Stdlib.compare out = List.sort Stdlib.compare rows
+        | External_sort.Drop_duplicates ->
+            List.for_all (fun r -> List.mem r rows) out
+            && no_adjacent_equal out
+            && List.length out = List.length (List.sort_uniq Row.compare rows)
+      in
+      let model = sort_io_model ~b ~rows_per_page:2 ~dedup rows in
+      (ordered out && permutation
+      && (logical, writes) = model
+      && physical <= logical)
+      || QCheck2.Test.fail_reportf
+           "B=%d, %d rows: ordered %b, permutation %b; io (%d, %d) vs model \
+            (%d, %d), %d physical reads"
+           b (List.length rows) (ordered out) permutation logical writes
+           (fst model) (snd model) physical)
+
+(* One fixed mixed-tie input, its output sequence and page counters
+   pinned: which of two [compare]-equal rows comes first (and which one
+   [Drop_duplicates] keeps) is part of the sort's contract. *)
+let test_external_sort_pinned_ties () =
+  let v = function
+    | 0 -> Value.Int 0
+    | 1 -> Value.Float 0.
+    | 2 -> Value.Int 1
+    | 3 -> Value.Float 1.
+    | _ -> Value.Null
+  in
+  let show = function
+    | Value.Int n -> string_of_int n
+    | Value.Float f -> Printf.sprintf "%g." f
+    | Value.Null -> "N"
+    | _ -> "?"
+  in
+  let schema =
+    Schema.of_columns ~rel:"T" [ ("a", Value.Tint); ("b", Value.Tint) ]
+  in
+  let input =
+    List.init 40 (fun i ->
+        Row.of_list [ v (i * 7 mod 5); v (((i / 3) + i) mod 5) ])
+  in
+  let sorted dedup =
+    let pager = Pager.create ~buffer_pages:3 ~page_bytes:32 () in
+    let heap = Heap_file.of_relation pager (Relation.make schema input) in
+    Pager.reset_stats pager;
+    let out = External_sort.sort pager ~dedup ~key:[ 1 ] heap in
+    let s = Pager.stats pager in
+    let rows = Relation.rows (Heap_file.to_relation out) in
+    ( (s.logical_reads, s.physical_reads, s.physical_writes),
+      String.concat " "
+        (List.map
+           (fun r -> String.concat "|" (List.map show (Row.to_list r)))
+           rows) )
+  in
+  let io = Alcotest.(triple int int int) in
+  let keep_io, keep = sorted External_sort.Keep_duplicates in
+  Alcotest.(check io) "keep: io" (100, 100, 80) keep_io;
+  Alcotest.(check string) "keep: rows"
+    "N|N N|N N|N 0.|N 0.|N 0.|N 1|N 1|N N|0. N|0. 0|0. 0|0 0.|0 0|0 0.|0 \
+     0|0. 0|0. 0|0 0.|0 1.|0 1|0. 1|0. 1.|0 1.|0 1|0. N|1 N|1 N|1 0|1. \
+     0.|1 0.|1 0|1. 1.|1 1|1. 1.|1. 1|1. 1.|1. 1.|1 1.|1 1|1."
+    keep;
+  let drop_io, drop = sorted External_sort.Drop_duplicates in
+  Alcotest.(check io) "drop: io" (69, 69, 49) drop_io;
+  Alcotest.(check string) "drop: rows"
+    "N|N 0.|N 1|N N|0. 0|0. 1.|0 N|1 0|1. 1.|1" drop
+
 let suites =
   [
     ( "storage.pager",
@@ -410,6 +569,9 @@ let suites =
         Alcotest.test_case "multipass" `Quick test_external_sort_multipass;
         Alcotest.test_case "io shape" `Quick test_external_sort_io_shape;
         QCheck_alcotest.to_alcotest prop_sort_matches_list_sort;
+        QCheck_alcotest.to_alcotest prop_sort_mixed_ties;
+        Alcotest.test_case "pinned mixed-tie order" `Quick
+          test_external_sort_pinned_ties;
       ] );
     ( "storage.btree",
       [
