@@ -334,12 +334,17 @@ let rec walk st (node : Plan.node) : info =
           in
           { i with sorted })
   | Plan.Join { method_; kind; cond; residual; left; right } ->
-      walk_join st ~label method_ kind cond residual left right
-  | Plan.Group_agg ga -> walk_group st ~label ~sorted_variant:true ga
-  | Plan.Hash_group_agg ga -> walk_group st ~label ~sorted_variant:false ga
+      join_info st ~label method_ kind cond residual ~right (walk st left)
+        (walk st right)
+  | Plan.Group_agg { group_by; aggs; input } ->
+      group_info st ~label ~sorted_variant:true ~group_by ~aggs (walk st input)
+  | Plan.Hash_group_agg { group_by; aggs; input } ->
+      group_info st ~label ~sorted_variant:false ~group_by ~aggs
+        (walk st input)
+  | Plan.Band_agg { kind; cond; group_by; aggs; left; right } ->
+      walk_band st ~label kind cond group_by aggs left right
 
-and walk_join st ~label method_ kind cond residual left right : info =
-  let li = walk st left and ri = walk st right in
+and join_info st ~label method_ kind cond residual ~right li ri : info =
   let padded = li.padded || ri.padded || kind = Plan.Left_outer in
   match (li.schema, ri.schema) with
   | Some lcols, Some rcols ->
@@ -450,9 +455,65 @@ and walk_join st ~label method_ kind cond residual left right : info =
       { schema = Some joined; sorted = None; padded }
   | _ -> { schema = None; sorted = None; padded }
 
-and walk_group st ~label ~sorted_variant { Plan.group_by; aggs; input } : info
-    =
-  let i = walk st input in
+(* A band aggregate types as the nested-loop join plus GROUP BY it
+   replaces, under the operator's own contracts (NQ115): one band
+   condition, group keys on the left covering every left join column,
+   aggregates over right columns, SUM/AVG over Int only.  Its output
+   arrives in group-key order. *)
+and walk_band st ~label kind cond group_by aggs left right : info =
+  (match Plan.band_split cond with
+  | _ -> ()
+  | exception Plan.Plan_error why -> emit st "NQ115" "%s: %s" label why);
+  let li = walk st left and ri = walk st right in
+  (match (li.schema, ri.schema) with
+  | Some lcols, Some rcols ->
+      let keys =
+        List.filter_map
+          (fun c ->
+            match resolve lcols c with
+            | Ok p -> Some p
+            | Error _ ->
+                emit st "NQ115" "%s: group key %a is not a left column" label
+                  pp_ref c;
+                None)
+          group_by
+      in
+      List.iter
+        (fun (lc, _, _) ->
+          match resolve lcols lc with
+          | Ok p when not (List.mem p keys) ->
+              emit st "NQ115" "%s: join column %a is not a group key" label
+                pp_ref lc
+          | _ -> ())
+        cond;
+      List.iter
+        (fun ({ Plan.fn; _ } : Plan.agg_item) ->
+          match Ast.agg_arg fn with
+          | None -> ()
+          | Some c -> (
+              match (resolve rcols c, fn) with
+              | Error _, _ ->
+                  emit st "NQ115"
+                    "%s: aggregate argument %a is not a right column" label
+                    pp_ref c
+              | Ok p, (Ast.Sum _ | Ast.Avg _)
+                when (nth rcols p).t_ty <> Value.Tint ->
+                  emit st "NQ115" "%s: %a over %s; band sums take Int only"
+                    label Sql.Pp.pp_agg fn
+                    (Value.type_name (nth rcols p).t_ty)
+              | Ok _, _ -> ()))
+        aggs
+  | _ -> ());
+  let joined =
+    join_info st ~label Plan.Nested_loop kind cond [] ~right li ri
+  in
+  let i = group_info st ~label ~sorted_variant:false ~group_by ~aggs joined in
+  {
+    i with
+    sorted = Option.map (fun _ -> List.mapi (fun i _ -> i) group_by) i.schema;
+  }
+
+and group_info st ~label ~sorted_variant ~group_by ~aggs (i : info) : info =
   match i.schema with
   | None -> no_info
   | Some cols ->

@@ -13,7 +13,7 @@
 module Pager = Storage.Pager
 module Json = Relalg.Json
 
-type est = { est_rows : float; est_cost : float }
+type est = { est_rows : float; est_cost : float; est_passes : float option }
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -74,6 +74,8 @@ let close_event id (m : Metrics.t) () =
       ("physical_writes", Int m.physical_writes);
     ]
 
+let count_pass (m : Metrics.t) () = m.passes <- m.passes + 1
+
 let observer (s : session) : Plan.observer =
  fun node build ->
   let m = Metrics.create () in
@@ -82,7 +84,7 @@ let observer (s : session) : Plan.observer =
   s.fresh_id <- id + 1;
   let before = Pager.snapshot s.pager in
   let t0 = Unix.gettimeofday () in
-  let it = build () in
+  let it = build ~on_pass:(count_pass m) in
   m.Metrics.build_s <- Unix.gettimeofday () -. t0;
   Metrics.add_io m (Pager.diff_since s.pager before);
   emit s (open_event id node m);
@@ -120,7 +122,7 @@ let observer_vec (s : session) : Plan.vec_observer =
   s.fresh_id <- id + 1;
   let before = Pager.snapshot s.pager in
   let t0 = Unix.gettimeofday () in
-  let v = build () in
+  let v = build ~on_pass:(count_pass m) in
   m.Metrics.build_s <- Unix.gettimeofday () -. t0;
   Metrics.add_io m (Pager.diff_since s.pager before);
   emit s (open_event id node m);
@@ -166,17 +168,26 @@ let actual_suffix lookup node =
         if m.Metrics.batches = 0 then ""
         else Printf.sprintf " batches=%d" m.Metrics.batches
       in
+      let passes =
+        match node with
+        | Plan.Band_agg _ -> Printf.sprintf " passes=%d" m.Metrics.passes
+        | _ -> ""
+      in
       Printf.sprintf
-        "  (actual: rows=%d next=%d rows/call=%.1f%s time=%.2fms io=%d/%d/%d"
+        "  (actual: rows=%d next=%d rows/call=%.1f%s time=%.2fms io=%d/%d/%d%s"
         m.Metrics.rows m.Metrics.next_calls (Metrics.rows_per_call m) batches
         (Metrics.total_s m *. 1e3)
-        l pr pw
+        l pr pw passes
       ^ ")"
 
 let est_suffix estimate node =
   match estimate node with
   | None -> ""
-  | Some e -> Printf.sprintf "  (cost=%.1f rows=%.0f)" e.est_cost e.est_rows
+  | Some e ->
+      Printf.sprintf "  (cost=%.1f rows=%.0f%s)" e.est_cost e.est_rows
+        (match e.est_passes with
+        | Some p -> Printf.sprintf " passes=%.0f" p
+        | None -> "")
 
 let render ?(estimate = no_est) ?metrics ?(indent = 0) node =
   let buf = Buffer.create 256 in
@@ -202,6 +213,9 @@ let render_json ?(estimate = no_est) ?metrics node =
           [
             ("est_cost", Json.Float e.est_cost); ("est_rows", Float e.est_rows);
           ]
+          @ Option.fold ~none:[]
+              ~some:(fun p -> [ ("est_passes", Json.Float p) ])
+              e.est_passes
     in
     let actual =
       match metrics with
@@ -213,23 +227,29 @@ let render_json ?(estimate = no_est) ?metrics node =
               let l, pr, pw =
                 Metrics.self_io m ~children:(child_metrics lookup node)
               in
+              let passes =
+                match node with
+                | Plan.Band_agg _ -> [ ("passes", Json.Int m.Metrics.passes) ]
+                | _ -> []
+              in
               [
                 ( "actual",
                   Json.Obj
-                    [
-                      ("rows", Int m.Metrics.rows);
-                      ("next_calls", Int m.Metrics.next_calls);
-                      ("rows_per_call", Float (Metrics.rows_per_call m));
-                      ("batches", Int m.Metrics.batches);
-                      ("build_ms", Float (m.Metrics.build_s *. 1e3));
-                      ("total_ms", Float (Metrics.total_s m *. 1e3));
-                      ("logical_reads", Int m.Metrics.logical_reads);
-                      ("physical_reads", Int m.Metrics.physical_reads);
-                      ("physical_writes", Int m.Metrics.physical_writes);
-                      ("self_logical_reads", Int l);
-                      ("self_physical_reads", Int pr);
-                      ("self_physical_writes", Int pw);
-                    ] );
+                    ([
+                       ("rows", Json.Int m.Metrics.rows);
+                       ("next_calls", Int m.Metrics.next_calls);
+                       ("rows_per_call", Float (Metrics.rows_per_call m));
+                       ("batches", Int m.Metrics.batches);
+                       ("build_ms", Float (m.Metrics.build_s *. 1e3));
+                       ("total_ms", Float (Metrics.total_s m *. 1e3));
+                       ("logical_reads", Int m.Metrics.logical_reads);
+                       ("physical_reads", Int m.Metrics.physical_reads);
+                       ("physical_writes", Int m.Metrics.physical_writes);
+                       ("self_logical_reads", Int l);
+                       ("self_physical_reads", Int pr);
+                       ("self_physical_writes", Int pw);
+                     ]
+                    @ passes) );
               ])
     in
     Json.Obj

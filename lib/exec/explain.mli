@@ -8,8 +8,9 @@
     (schema in docs/EXPLAIN.md). *)
 
 (** A planner estimate attached to one operator: cumulative page-I/O cost to
-    produce its full output once, and output cardinality. *)
-type est = { est_rows : float; est_cost : float }
+    produce its full output once, output cardinality, and — for a band
+    aggregate — how many times it reads its inner. *)
+type est = { est_rows : float; est_cost : float; est_passes : float option }
 
 (** An instrumentation session: one per executed plan.  Collects a
     {!Metrics.t} per operator and optionally emits trace lines. *)
@@ -35,7 +36,9 @@ val observer_vec : session -> Plan.vec_observer
 val metrics : session -> Plan.node -> Metrics.t option
 
 (** Indented operator tree, one line per operator:
-    [label  (cost=C rows=R)  (actual: rows=.. next=.. time=..ms io=L/P/W)].
+    [label  (cost=C rows=R)  (actual: rows=.. next=.. time=..ms io=L/P/W)],
+    plus [passes=N] in both suffixes of a band aggregate (reads of its
+    inner, estimated and actual).
     The estimate suffix appears where [estimate] yields one; the actual
     suffix appears iff [metrics] is supplied ([-] for uninstrumented
     operators); [io] is the operator's {e self} page traffic

@@ -102,7 +102,8 @@ let release_all (heaps : heaps) =
   heaps := [];
   List.iter (fun release -> release ()) pending
 
-let delete_when_drained ?(heaps : heaps option) heap (it : t) : t =
+(* The delete of [heap], at most once, registered with [heaps]. *)
+let owned ?(heaps : heaps option) heap =
   let live = ref true in
   let release () =
     if !live then begin
@@ -111,6 +112,10 @@ let delete_when_drained ?(heaps : heaps option) heap (it : t) : t =
     end
   in
   Option.iter (fun hs -> hs := release :: !hs) heaps;
+  release
+
+let delete_when_drained ?heaps heap (it : t) : t =
+  let release = owned ?heaps heap in
   let next () =
     match it.next () with
     | Some _ as r -> r
@@ -580,5 +585,413 @@ let hash_group_agg ~group_key ~(aggs : agg_spec list) ~schema (input : t) : t =
         in
         out := Some (ref rows);
         next ()
+  in
+  { schema; next }
+
+(* ------------------------------------------------------------------ *)
+(* Band aggregation (beyond the paper)                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [GROUP BY <left columns>] over [left ⋈ right] when the join has one
+   band condition ([<], [<=], [>], [>=]) and any number of equality
+   conditions: the temp NEST-JA2 builds for a non-equality correlation
+   (§5.3) and the §8 ALL rewrite's counting temp.  A nested-loop join
+   re-reads the inner once per outer row and its output is then sorted to
+   be grouped; this operator holds B-2 pages of left rows in memory and
+   streams the inner once per such chunk, never producing the join's rows.
+
+   Per chunk, the distinct left groups (with their multiplicity) are split
+   into segments by equality key, and each segment's band keys are sorted.
+   The band condition selects a prefix ([<], [<=]) or a suffix ([>], [>=])
+   of a segment's sorted keys, so a right row lands in one bucket: the
+   position where its range ends.  A sweep over the buckets then combines
+   each key's range.  COUNT and SUM scale by the group's multiplicity;
+   under [outer_join] an empty range gives what the null-padded join row
+   would: COUNT 0, COUNT-star the multiplicity, NULL for the rest.  NULL
+   keys match nothing (null-safe equality columns excepted).  SUM and AVG
+   take Int arguments only: bucketed partial sums of floats would round
+   differently from a row-order sum.
+
+   Contract: [group_key] holds every left column a condition reads, so a
+   group's rows share one range.  Output is one row per group (key, then
+   aggregates) in group-key order, as a sort-based GROUP BY emits it.
+   When one chunk holds the whole left side the inner is read exactly
+   once; otherwise the left is read in group-key order ([left_sorted], or
+   sorted here) and a [Streamed] inner is materialized once and re-read
+   per chunk.  [on_pass] is called once per read of the inner. *)
+
+type band_inner = Stored of Heap_file.t | Streamed of (unit -> t)
+
+(* One bucket's (or range's) partial aggregates: matched rows, and per
+   aggregate the non-NULL argument count, the MIN/MAX so far and the
+   integer sum. *)
+type band_partial = {
+  mutable matched : int;
+  nonnull : int array;
+  extreme : Value.t array;
+  sum : int array;
+}
+
+let band_partial n =
+  {
+    matched = 0;
+    nonnull = Array.make n 0;
+    extreme = Array.make n Value.Null;
+    sum = Array.make n 0;
+  }
+
+let band_copy p =
+  {
+    matched = p.matched;
+    nonnull = Array.copy p.nonnull;
+    extreme = Array.copy p.extreme;
+    sum = Array.copy p.sum;
+  }
+
+(* Does [v] replace [cur] as the MIN/MAX? *)
+let band_better (fn : Sql.Ast.agg) v cur =
+  (not (Value.is_null v))
+  && (Value.is_null cur
+     ||
+     let c = Value.compare v cur in
+     match fn with Max _ -> c > 0 | _ -> c < 0)
+
+let band_add_row (aggs : agg_spec array) p (r : Row.t) =
+  p.matched <- p.matched + 1;
+  Array.iteri
+    (fun i (spec : agg_spec) ->
+      match spec.arg with
+      | None -> ()
+      | Some c -> (
+          match (spec.fn, Row.get r c) with
+          | _, Value.Null | Count_star, _ -> ()
+          | Count _, _ -> p.nonnull.(i) <- p.nonnull.(i) + 1
+          | (Max _ | Min _), v ->
+              if band_better spec.fn v p.extreme.(i) then p.extreme.(i) <- v
+          | (Sum _ | Avg _), Value.Int n ->
+              p.nonnull.(i) <- p.nonnull.(i) + 1;
+              p.sum.(i) <- p.sum.(i) + n
+          | (Sum _ | Avg _), v ->
+              invalid_arg
+                (Fmt.str "band aggregate: SUM/AVG over non-integer %a" Value.pp
+                   v)))
+    aggs
+
+let band_combine (aggs : agg_spec array) acc p =
+  acc.matched <- acc.matched + p.matched;
+  Array.iteri
+    (fun i (spec : agg_spec) ->
+      acc.nonnull.(i) <- acc.nonnull.(i) + p.nonnull.(i);
+      acc.sum.(i) <- acc.sum.(i) + p.sum.(i);
+      if band_better spec.fn p.extreme.(i) acc.extreme.(i) then
+        acc.extreme.(i) <- p.extreme.(i))
+    aggs
+
+(* A group's output row from its range and multiplicity; [None] when an
+   inner join drops the group. *)
+let band_finish ~outer_join (aggs : agg_spec array) key mult p =
+  if p.matched = 0 && not outer_join then None
+  else
+    let value i (spec : agg_spec) =
+      match spec.fn with
+      | Count_star -> Value.Int (mult * max 1 p.matched)
+      | Count _ -> Value.Int (mult * p.nonnull.(i))
+      | Max _ | Min _ -> p.extreme.(i)
+      | Sum _ | Avg _ when p.nonnull.(i) = 0 -> Value.Null
+      | Sum _ -> Value.Int (mult * p.sum.(i))
+      | Avg _ ->
+          Value.Float
+            (float_of_int (mult * p.sum.(i))
+            /. float_of_int (mult * p.nonnull.(i)))
+    in
+    Some (Row.append key (Array.mapi value aggs))
+
+(* One left group of a chunk: key, a representative row, multiplicity,
+   and its band key's segment and slot ([seg] = -1: matches nothing). *)
+type band_group = {
+  g_key : Row.t;
+  g_row : Row.t;
+  mutable mult : int;
+  mutable seg : int;
+  mutable slot : int;
+}
+
+let band_agg ?heaps pager ~outer_join ~eq ~band:(band_l, op, band_r)
+    ~group_key ~(aggs : agg_spec list) ~schema ~left_sorted ?(on_pass = ignore)
+    ~inner (left : t) : t =
+  let aggs = Array.of_list aggs in
+  let n_aggs = Array.length aggs in
+  let gk = Array.of_list group_key in
+  let eq_l = Array.of_list (List.map (fun (l, _, _) -> l) eq) in
+  let eq_r = Array.of_list (List.map (fun (_, r, _) -> r) eq) in
+  let strict = Array.of_list (List.map (fun (_, _, safe) -> not safe) eq) in
+  let n_eq = Array.length eq_l in
+  let key_null idxs (r : Row.t) =
+    let rec go i =
+      i < n_eq && ((strict.(i) && Value.is_null r.(idxs.(i))) || go (i + 1))
+    in
+    go 0
+  in
+  (* Keys below [v] (at or below it when [inclusive]) in a sorted array. *)
+  let rank keys v ~inclusive =
+    let lo = ref 0 and hi = ref (Array.length keys) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let c = Value.compare keys.(mid) v in
+      if c < 0 || (inclusive && c = 0) then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  (* [l op v] holds for keys [0, b) when [prefix], for [b, k) otherwise. *)
+  let prefix, inclusive =
+    match op with
+    | Sql.Ast.Lt -> (true, false)
+    | Le -> (true, true)
+    | Gt -> (false, true)
+    | Ge -> (false, false)
+    | Eq | Ne | Eq_null -> invalid_arg "band aggregate: not a band comparison"
+  in
+  let capacity =
+    max 1 (Pager.buffer_pages pager - 2)
+    * max 1 (Pager.page_bytes pager / Schema.tuple_width_estimate left.schema)
+  in
+  (* Reading chunks: [capacity] rows, then on while rows continue the last
+     group, so a group never spans two chunks of a sorted input. *)
+  let pending = ref None in
+  let pull (src : t) =
+    match !pending with
+    | Some _ as r ->
+        pending := None;
+        r
+    | None -> src.next ()
+  in
+  let last = ref None in
+  let fill ~check src =
+    let index : band_group Row.Tbl.t = Row.Tbl.create 64 in
+    let groups = ref [] and read = ref 0 and in_order = ref true in
+    let continues key =
+      match !last with Some prev -> Row.equal key prev | None -> false
+    in
+    let rec loop () =
+      match pull src with
+      | None -> true
+      | Some r ->
+          let key = Row.project_positions r gk in
+          if !read < capacity || continues key then begin
+            (match !last with
+            | Some prev when Row.compare key prev < 0 ->
+                if check then
+                  invalid_arg "band aggregate: left input not in group order";
+                in_order := false
+            | _ -> ());
+            last := Some key;
+            incr read;
+            (match Row.Tbl.find_opt index key with
+            | Some g -> g.mult <- g.mult + 1
+            | None ->
+                let g =
+                  { g_key = key; g_row = r; mult = 1; seg = -1; slot = 0 }
+                in
+                Row.Tbl.add index key g;
+                groups := g :: !groups);
+            loop ()
+          end
+          else begin
+            pending := Some r;
+            false
+          end
+    in
+    let exhausted = loop () in
+    (Array.of_list (List.rev !groups), exhausted, !in_order)
+  in
+  (* One chunk against one read of the inner: the chunk's output rows. *)
+  let process groups (read_inner : unit -> unit -> Row.t option) =
+    let seg_of : (int * Value.t list ref) Row.Tbl.t = Row.Tbl.create 16 in
+    let bands = ref [] (* per segment, newest first *) and n_seg = ref 0 in
+    Array.iter
+      (fun g ->
+        let v = g.g_row.(band_l) in
+        if not (Value.is_null v || key_null eq_l g.g_row) then begin
+          let key = Row.project_positions g.g_row eq_l in
+          let s, vs =
+            match Row.Tbl.find_opt seg_of key with
+            | Some seg -> seg
+            | None ->
+                let seg = (!n_seg, ref []) in
+                Row.Tbl.add seg_of key seg;
+                bands := snd seg :: !bands;
+                incr n_seg;
+                seg
+          in
+          g.seg <- s;
+          vs := v :: !vs
+        end)
+      groups;
+    let keys =
+      Array.of_list
+        (List.rev_map
+           (fun l ->
+             let a = Array.of_list !l in
+             Array.sort Value.compare a;
+             let distinct =
+               Array.fold_left
+                 (fun acc v ->
+                   match acc with
+                   | prev :: _ when Value.compare prev v = 0 -> acc
+                   | _ -> v :: acc)
+                 [] a
+             in
+             Array.of_list (List.rev distinct))
+           !bands)
+    in
+    Array.iter
+      (fun g ->
+        if g.seg >= 0 then
+          g.slot <- rank keys.(g.seg) g.g_row.(band_l) ~inclusive:false)
+      groups;
+    let buckets =
+      Array.map
+        (fun k ->
+          Array.init (Array.length k + 1) (fun _ -> band_partial n_aggs))
+        keys
+    in
+    if !n_seg > 0 then begin
+      on_pass ();
+      let next = read_inner () in
+      let probe = Array.make n_eq Value.Null in
+      let rec loop () =
+        match next () with
+        | None -> ()
+        | Some r ->
+            let v = r.(band_r) in
+            let s =
+              if Value.is_null v || key_null eq_r r then -1
+              else if n_eq = 0 then 0
+              else begin
+                Array.iteri (fun i c -> probe.(i) <- r.(c)) eq_r;
+                match Row.Tbl.find_opt seg_of probe with
+                | Some (s, _) -> s
+                | None -> -1
+              end
+            in
+            if s >= 0 then begin
+              let k = keys.(s) in
+              let b = rank k v ~inclusive in
+              if (prefix && b > 0) || ((not prefix) && b < Array.length k) then
+                band_add_row aggs buckets.(s).(b) r
+            end;
+            loop ()
+      in
+      loop ()
+    end;
+    (* Combine each key's range: the buckets after it for a prefix band,
+       the buckets up to it for a suffix band. *)
+    let ranges =
+      Array.mapi
+        (fun s k ->
+          let n = Array.length k in
+          let acc = band_partial n_aggs in
+          let out = Array.make n acc in
+          if prefix then
+            for i = n - 1 downto 0 do
+              band_combine aggs acc buckets.(s).(i + 1);
+              out.(i) <- band_copy acc
+            done
+          else
+            for i = 0 to n - 1 do
+              band_combine aggs acc buckets.(s).(i);
+              out.(i) <- band_copy acc
+            done;
+          out)
+        keys
+    in
+    let empty = band_partial n_aggs in
+    Array.sort (fun a b -> Row.compare a.g_key b.g_key) groups;
+    List.filter_map
+      (fun g ->
+        let range = if g.seg < 0 then empty else ranges.(g.seg).(g.slot) in
+        band_finish ~outer_join aggs g.g_key g.mult range)
+      (Array.to_list groups)
+  in
+  (* Several chunks: left in group order, the inner stored for re-reads. *)
+  let chunks src first =
+    let heap, release =
+      match inner with
+      | Stored heap -> (heap, ignore)
+      | Streamed build ->
+          let heap = materialize pager (build ()) in
+          (heap, owned ?heaps heap)
+    in
+    let current = ref (Some first) in
+    fun () ->
+      match !current with
+      | None ->
+          release ();
+          None
+      | Some (groups, exhausted) ->
+          let rows = process groups (fun () -> Heap_file.scan heap) in
+          (current :=
+             if exhausted then None
+             else
+               let groups, exhausted, _ = fill ~check:true src in
+               Some (groups, exhausted));
+          Some rows
+  in
+  let start () =
+    let groups, exhausted, in_order = fill ~check:false left in
+    if exhausted then begin
+      let rows =
+        process groups (fun () ->
+            match inner with
+            | Stored heap -> Heap_file.scan heap
+            | Streamed build -> (build ()).next)
+      in
+      let once = ref (Some rows) in
+      fun () ->
+        let r = !once in
+        once := None;
+        r
+    end
+    else if left_sorted && in_order then chunks left (groups, false)
+    else begin
+      (* Re-read what the first chunk took, then the rest, through an
+         external sort on the group key. *)
+      let replay =
+        ref
+          (List.concat_map
+             (fun g -> List.init g.mult (fun _ -> g.g_row))
+             (Array.to_list groups))
+      in
+      let rest =
+        {
+          left with
+          next =
+            (fun () ->
+              match !replay with
+              | r :: tl ->
+                  replay := tl;
+                  Some r
+              | [] -> pull left);
+        }
+      in
+      let sorted = sort ?heaps pager ~key:group_key rest in
+      last := None;
+      let groups, exhausted, _ = fill ~check:true sorted in
+      chunks sorted (groups, exhausted)
+    end
+  in
+  (* Nothing is read before the first pull. *)
+  let chunk = lazy (start ()) and out = ref [] in
+  let rec next () =
+    match !out with
+    | r :: rest ->
+        out := rest;
+        Some r
+    | [] -> (
+        match Lazy.force chunk () with
+        | None -> None
+        | Some rows ->
+            out := rows;
+            next ())
   in
   { schema; next }

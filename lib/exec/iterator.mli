@@ -133,3 +133,40 @@ val group_agg_sorted :
     empty [group_key]. *)
 val hash_group_agg :
   group_key:int list -> aggs:agg_spec list -> schema:Relalg.Schema.t -> t -> t
+
+(** Where {!band_agg} reads its inner from: a stored heap (re-scanned per
+    pass), or a builder whose stream is read once when one pass suffices
+    and is materialized once when several are needed. *)
+type band_inner = Stored of Storage.Heap_file.t | Streamed of (unit -> t)
+
+(** Beyond the paper: [GROUP BY group_key] over [left ⋈ inner] for a join
+    with one band condition [band = (l, op, r)], [l op r] with [op] one of
+    [<] [<=] [>] [>=], and the equality conditions [eq] as
+    [(left, right, null_safe)] positions.  [group_key] must hold every left
+    position a condition reads; [aggs] read inner positions (SUM/AVG over
+    Int only).  Holds B-2 pages of left rows per chunk and reads the inner
+    once per chunk — once in all when the left fits one chunk — bucketing
+    each inner row by a hash lookup on its equality key and a binary search
+    on its band key.  One output row per group (key, then aggregates), in
+    group-key order, equal as a bag to a nested-loop join followed by a
+    sorted GROUP BY; under [outer_join] groups with no match get COUNT 0
+    (COUNT-star: the group's multiplicity) and NULL elsewhere.  With more
+    than one chunk the left is re-read in group-key order: as it arrives
+    when [left_sorted], else through an external sort.  [on_pass] runs once
+    per read of the inner.
+    @raise Invalid_argument on a non-band [op], a non-Int SUM/AVG value, or
+    a [left_sorted] input that is not. *)
+val band_agg :
+  ?heaps:heaps ->
+  Storage.Pager.t ->
+  outer_join:bool ->
+  eq:(int * int * bool) list ->
+  band:int * Sql.Ast.cmp * int ->
+  group_key:int list ->
+  aggs:agg_spec list ->
+  schema:Relalg.Schema.t ->
+  left_sorted:bool ->
+  ?on_pass:(unit -> unit) ->
+  inner:band_inner ->
+  t ->
+  t

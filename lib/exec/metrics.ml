@@ -20,6 +20,7 @@ type t = {
   mutable logical_reads : int; (* pager traffic, inclusive *)
   mutable physical_reads : int;
   mutable physical_writes : int;
+  mutable passes : int; (* reads of a band aggregate's inner *)
 }
 
 let create () =
@@ -32,6 +33,7 @@ let create () =
     logical_reads = 0;
     physical_reads = 0;
     physical_writes = 0;
+    passes = 0;
   }
 
 let add_io m (s : Storage.Pager.stats) =
@@ -51,7 +53,8 @@ let merge dst ~src =
   dst.next_s <- dst.next_s +. src.next_s;
   dst.logical_reads <- dst.logical_reads + src.logical_reads;
   dst.physical_reads <- dst.physical_reads + src.physical_reads;
-  dst.physical_writes <- dst.physical_writes + src.physical_writes
+  dst.physical_writes <- dst.physical_writes + src.physical_writes;
+  dst.passes <- dst.passes + src.passes
 
 let total_s m = m.build_s +. m.next_s
 

@@ -18,6 +18,8 @@ type t = {
   mutable logical_reads : int;  (** pager page requests, inclusive *)
   mutable physical_reads : int;  (** buffer-pool misses, inclusive *)
   mutable physical_writes : int;  (** pages written, inclusive *)
+  mutable passes : int;
+      (** reads of the inner side (band aggregates; 0 elsewhere) *)
 }
 
 (** A zeroed record. *)

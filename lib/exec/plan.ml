@@ -49,6 +49,15 @@ type node =
     }
   | Group_agg of group_agg
   | Hash_group_agg of group_agg (* beyond the paper: unsorted input *)
+  | Band_agg of {
+      kind : join_kind;
+      cond : (col_ref * cmp * col_ref) list; (* one band, the rest equalities *)
+      group_by : col_ref list; (* left columns, every left join column *)
+      aggs : agg_item list; (* over right columns *)
+      left : node;
+      right : node;
+    }
+      (* beyond the paper: GROUP BY over a band join, no join rows *)
 
 and group_agg = { group_by : col_ref list; aggs : agg_item list; input : node }
 
@@ -88,17 +97,25 @@ let rec output_schema (catalog : Catalog.t) (node : node) : Schema.t =
       Schema.append (output_schema catalog left) (output_schema catalog right)
   | Group_agg { group_by; aggs; input } | Hash_group_agg { group_by; aggs; input }
     ->
-      let s = output_schema catalog input in
-      let group_cols =
-        List.map (fun c -> Schema.column s (find_col s c)) group_by
+      grouped_schema (output_schema catalog input) ~group_by ~aggs
+  | Band_agg { group_by; aggs; left; right; _ } ->
+      let joined =
+        Schema.append (output_schema catalog left) (output_schema catalog right)
       in
-      let agg_cols =
-        List.map
-          (fun { fn; out_name } ->
-            { Schema.rel = "agg"; name = out_name; ty = agg_output_type s fn })
-          aggs
-      in
-      Schema.make (group_cols @ agg_cols)
+      grouped_schema joined ~group_by ~aggs
+
+(* Group columns then one column per aggregate, over input schema [s]. *)
+and grouped_schema s ~group_by ~aggs =
+  let group_cols =
+    List.map (fun c -> Schema.column s (find_col s c)) group_by
+  in
+  let agg_cols =
+    List.map
+      (fun { fn; out_name } ->
+        { Schema.rel = "agg"; name = out_name; ty = agg_output_type s fn })
+      aggs
+  in
+  Schema.make (group_cols @ agg_cols)
 
 (* ------------------------------------------------------------------ *)
 (* Predicate compilation                                               *)
@@ -277,6 +294,69 @@ let group_agg_parts (ischema : Schema.t) ~group_by ~aggs =
   in
   (group_key, agg_specs)
 
+(* A band aggregate's conditions split into its equality segment and its
+   one band comparison, in condition order.
+   @raise Plan_error unless exactly one condition is [<], [<=], [>] or
+   [>=] and every other one is an equality. *)
+let band_split cond =
+  let eqs, bands =
+    List.partition (fun (_, op, _) -> op = Eq || op = Eq_null) cond
+  in
+  match bands with
+  | [ ((_, (Lt | Le | Gt | Ge), _) as band) ] -> (eqs, band)
+  | _ ->
+      errf
+        "band aggregate needs exactly one <, <=, > or >= condition beside \
+         its equalities"
+
+(* Positions for {!Iterator.band_agg}: equality and band columns, group
+   keys on the left; aggregate arguments on the right. *)
+let band_parts (lschema : Schema.t) (rschema : Schema.t) ~cond ~group_by ~aggs
+    =
+  let eqs, (bl, op, br) = band_split cond in
+  let group_key = List.map (find_col lschema) group_by in
+  let left_col c =
+    let i = find_col lschema c in
+    if not (List.mem i group_key) then
+      errf "band aggregate: join column %a is not a group key" Sql.Pp.pp_col c;
+    i
+  in
+  let eq =
+    List.map
+      (fun (lc, op, rc) -> (left_col lc, find_col rschema rc, op = Eq_null))
+      eqs
+  in
+  let agg_specs =
+    List.map
+      (fun { fn; _ } ->
+        { Iterator.fn; arg = Option.map (find_col rschema) (agg_arg fn) })
+      aggs
+  in
+  (eq, (left_col bl, op, find_col rschema br), group_key, agg_specs)
+
+(* Does [node] emit its rows ordered on [cols] as a leading key?  Stored
+   relations carry their order in the catalog, a [Sort] its key; a filter
+   keeps its input's order. *)
+let rec emits_in_order catalog node (cols : col_ref list) =
+  let leads schema positions =
+    match List.map (find_col schema) cols with
+    | ps ->
+        let n = List.length ps in
+        n <= List.length positions
+        && List.equal Int.equal ps (List.filteri (fun i _ -> i < n) positions)
+    | exception (Schema.Ambiguous _ | Schema.Not_found_column _) -> false
+  in
+  match node with
+  | Scan name | Rename (_, Scan name) -> (
+      match Catalog.sorted_on catalog name with
+      | Some positions -> leads (output_schema catalog node) positions
+      | None -> false)
+  | Sort (keys, input) ->
+      let schema = output_schema catalog input in
+      leads schema (List.map (find_col schema) keys)
+  | Filter (_, input) -> emits_in_order catalog input cols
+  | _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -301,16 +381,40 @@ let engine_of_string = function
    attach per-operator metrics and trace events without the executor knowing
    about either.  [vec_observer] is the same protocol for the vectorized
    engine. *)
-type observer = node -> (unit -> Iterator.t) -> Iterator.t
-type vec_observer = node -> (unit -> Vec.t) -> Vec.t
+type observer = node -> (on_pass:(unit -> unit) -> Iterator.t) -> Iterator.t
+type vec_observer = node -> (on_pass:(unit -> unit) -> Vec.t) -> Vec.t
+
+(* A band aggregate over its executed left side: a stored inner table is
+   re-scanned in place, any other inner subtree streamed through
+   [right_iter] (the operator materializes it once if the left side needs
+   several chunks). *)
+let band_agg ?heaps ~on_pass catalog ~kind ~cond ~group_by ~aggs ~left ~right
+    ~right_iter (lit : Iterator.t) : Iterator.t =
+  let rschema = output_schema catalog right in
+  let inner =
+    match right with
+    | Scan name | Rename (_, Scan name) ->
+        Iterator.Stored (Catalog.heap catalog name)
+    | _ -> Iterator.Streamed right_iter
+  in
+  let eq, band, group_key, agg_specs =
+    band_parts lit.schema rschema ~cond ~group_by ~aggs
+  in
+  Iterator.band_agg ?heaps (Catalog.pager catalog)
+    ~outer_join:(kind = Left_outer) ~eq ~band ~group_key ~aggs:agg_specs
+    ~schema:(grouped_schema (Schema.append lit.schema rschema) ~group_by ~aggs)
+    ~left_sorted:(emits_in_order catalog left group_by)
+    ~on_pass ~inner lit
 
 let rec execute ?observe ?heaps (catalog : Catalog.t) (node : node) :
     Iterator.t =
   match observe with
-  | None -> execute_node ?observe ?heaps catalog node
-  | Some f -> f node (fun () -> execute_node ?observe ?heaps catalog node)
+  | None -> execute_node ?observe ?heaps ~on_pass:ignore catalog node
+  | Some f ->
+      f node (fun ~on_pass ->
+          execute_node ?observe ?heaps ~on_pass catalog node)
 
-and execute_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
+and execute_node ?observe ?heaps ~on_pass (catalog : Catalog.t) (node : node) :
     Iterator.t =
   let pager = Catalog.pager catalog in
   match node with
@@ -379,6 +483,10 @@ and execute_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
         | _ -> Iterator.group_agg_sorted
       in
       agg_op ~group_key ~aggs:agg_specs ~schema it
+  | Band_agg { kind; cond; group_by; aggs; left; right } ->
+      band_agg ?heaps ~on_pass catalog ~kind ~cond ~group_by ~aggs ~left ~right
+        ~right_iter:(fun () -> execute ?observe ?heaps catalog right)
+        (execute ?observe ?heaps catalog left)
 
 (* The vectorized executor: hot operators (scan, filter, project, hash
    distinct/join/group) run batch-at-a-time through [Vec]; sort-based
@@ -386,11 +494,13 @@ and execute_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
    between adapters, so any plan executes under either engine. *)
 let rec execute_vec ?observe ?heaps (catalog : Catalog.t) (node : node) : Vec.t =
   match observe with
-  | None -> execute_vec_node ?observe ?heaps catalog node
-  | Some f -> f node (fun () -> execute_vec_node ?observe ?heaps catalog node)
+  | None -> execute_vec_node ?observe ?heaps ~on_pass:ignore catalog node
+  | Some f ->
+      f node (fun ~on_pass ->
+          execute_vec_node ?observe ?heaps ~on_pass catalog node)
 
-and execute_vec_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
-    Vec.t =
+and execute_vec_node ?observe ?heaps ~on_pass (catalog : Catalog.t)
+    (node : node) : Vec.t =
   let pager = Catalog.pager catalog in
   match node with
   | Scan name ->
@@ -481,6 +591,13 @@ and execute_vec_node ?observe ?heaps (catalog : Catalog.t) (node : node) :
       let group_key, agg_specs = group_agg_parts v.Vec.schema ~group_by ~aggs in
       let schema = output_schema catalog node in
       Vec.hash_group_agg ~group_key ~aggs:agg_specs ~schema v
+  | Band_agg { kind; cond; group_by; aggs; left; right } ->
+      Vec.of_tuple
+        (band_agg ?heaps ~on_pass catalog ~kind ~cond ~group_by ~aggs ~left
+           ~right
+           ~right_iter:(fun () ->
+             Vec.to_tuple (execute_vec ?observe ?heaps catalog right))
+           (Vec.to_tuple (execute_vec ?observe ?heaps catalog left)))
 
 (* A run owns the heaps its operators create: each is freed when drained,
    and whatever an operator left undrained (the sorted inner of a merge
@@ -524,6 +641,16 @@ let pp_bounds ppf (column, lo, hi) =
       in
       Fmt.pf ppf "%s%a%a" column (side ">") lo (side "<") hi
 
+let pp_cols = Fmt.(list ~sep:(any ", ") Sql.Pp.pp_col)
+
+let pp_cond ppf (l, op, r) =
+  Fmt.pf ppf "%a %s %a" Sql.Pp.pp_col l (cmp_name op) Sql.Pp.pp_col r
+
+let pp_aggs =
+  Fmt.(
+    list ~sep:(any ", ") (fun ppf { fn; out_name } ->
+        Fmt.pf ppf "%a AS %s" Sql.Pp.pp_agg fn out_name))
+
 let label node =
   match node with
   | Scan name -> "Scan " ^ name
@@ -540,16 +667,12 @@ let label node =
       Fmt.str "Project %a" Fmt.(list ~sep:(any ", ") Sql.Pp.pp_col) cols
   | Distinct _ -> "Distinct"
   | Hash_distinct _ -> "HashDistinct"
-  | Sort (cols, _) ->
-      Fmt.str "Sort by %a" Fmt.(list ~sep:(any ", ") Sql.Pp.pp_col) cols
+  | Sort (cols, _) -> Fmt.str "Sort by %a" pp_cols cols
   | Join { method_; kind; cond; residual; _ } ->
       Fmt.str "%s %s join on %a%a"
         (join_method_name method_)
         (join_kind_name kind)
-        Fmt.(
-          list ~sep:(any " AND ") (fun ppf (l, op, r) ->
-              Fmt.pf ppf "%a %s %a" Sql.Pp.pp_col l (cmp_name op) Sql.Pp.pp_col
-                r))
+        Fmt.(list ~sep:(any " AND ") pp_cond)
         cond
         Fmt.(
           if residual = [] then any ""
@@ -562,13 +685,18 @@ let label node =
       let name =
         match node with Hash_group_agg _ -> "HashGroupAgg" | _ -> "GroupAgg"
       in
-      Fmt.str "%s by [%a] computing [%a]" name
-        Fmt.(list ~sep:(any ", ") Sql.Pp.pp_col)
-        group_by
+      Fmt.str "%s by [%a] computing [%a]" name pp_cols group_by pp_aggs aggs
+  | Band_agg { kind; cond; group_by; aggs; _ } ->
+      let eqs, band = band_split cond in
+      Fmt.str "BandAgg by [%a] on %a%a%s computing [%a]" pp_cols group_by
+        pp_cond band
         Fmt.(
-          list ~sep:(any ", ") (fun ppf { fn; out_name } ->
-              Fmt.pf ppf "%a AS %s" Sql.Pp.pp_agg fn out_name))
-        aggs
+          if eqs = [] then any ""
+          else fun ppf () ->
+            Fmt.pf ppf " segment %a" (list ~sep:(any " AND ") pp_cond) eqs)
+        ()
+        (match kind with Inner -> "" | Left_outer -> " left-outer")
+        pp_aggs aggs
 
 let children = function
   | Scan _ | Index_scan _ -> []
@@ -579,7 +707,7 @@ let children = function
   | Hash_distinct input
   | Sort (_, input) ->
       [ input ]
-  | Join { left; right; _ } -> [ left; right ]
+  | Join { left; right; _ } | Band_agg { left; right; _ } -> [ left; right ]
   | Group_agg { input; _ } | Hash_group_agg { input; _ } -> [ input ]
 
 let rec pp ?(indent = 0) ppf node =

@@ -43,6 +43,19 @@ type node =
   | Group_agg of group_agg
   | Hash_group_agg of group_agg
       (** beyond the paper: hash aggregation over unsorted input *)
+  | Band_agg of {
+      kind : join_kind;
+      cond : (Sql.Ast.col_ref * Sql.Ast.cmp * Sql.Ast.col_ref) list;
+          (** exactly one [<] [<=] [>] [>=] condition, the rest equalities *)
+      group_by : Sql.Ast.col_ref list;
+          (** left columns, including every left column of [cond] *)
+      aggs : agg_item list;  (** over right columns; SUM/AVG over Int *)
+      left : node;
+      right : node;
+    }
+      (** beyond the paper: [GROUP BY group_by] over [left ⋈ right] without
+          producing the join's rows ({!Iterator.band_agg}); output in
+          group-key order *)
 
 and group_agg = {
   group_by : Sql.Ast.col_ref list;
@@ -70,12 +83,27 @@ val engine_of_string : string -> engine option
 (** An observer intercepts every operator's construction: it receives the
     plan node and a thunk building its iterator (including eager work —
     sorts, materializations, hash builds) and returns the iterator to use,
-    usually the built one wrapped with instrumentation.  {!Explain} supplies
+    usually the built one wrapped with instrumentation.  The thunk takes
+    the operator's [on_pass] callback, run once per read of a band
+    aggregate's inner (other operators never call it).  {!Explain} supplies
     one to collect per-operator {!Metrics} without the executor knowing.
     [vec_observer] is the same protocol for the vectorized engine. *)
-type observer = node -> (unit -> Iterator.t) -> Iterator.t
+type observer = node -> (on_pass:(unit -> unit) -> Iterator.t) -> Iterator.t
 
-type vec_observer = node -> (unit -> Vec.t) -> Vec.t
+type vec_observer = node -> (on_pass:(unit -> unit) -> Vec.t) -> Vec.t
+
+(** [band_split cond]: a band aggregate's equality conditions and its one
+    band condition.  @raise Plan_error on any other shape. *)
+val band_split :
+  (Sql.Ast.col_ref * Sql.Ast.cmp * Sql.Ast.col_ref) list ->
+  (Sql.Ast.col_ref * Sql.Ast.cmp * Sql.Ast.col_ref) list
+  * (Sql.Ast.col_ref * Sql.Ast.cmp * Sql.Ast.col_ref)
+
+(** [emits_in_order catalog node cols]: does [node] provably emit its rows
+    ordered on [cols] as a leading key (a stored relation's catalog order,
+    a [Sort] key, either under filters)? *)
+val emits_in_order :
+  Storage.Catalog.t -> node -> Sql.Ast.col_ref list -> bool
 
 (** Execute to an iterator (page traffic through the catalog's pager).
     Sort-merge joins require plan-inserted [Sort]s (or born-sorted inputs);

@@ -191,3 +191,25 @@ let hash_agg_blended ~pi ~ni = blended ~io:pi ~tuples:ni
 (* Sort-based aggregation / dedup over an unsorted input. *)
 let sort_agg_blended ?rounding ~b ~pi ~ni () =
   blended ~io:(sort_cost ?rounding ~b pi +. pi) ~tuples:(ni *. log2 ni)
+
+(* Band aggregation (GROUP BY over a join with one <, <=, > or >=
+   condition): the left side is held B-2 pages at a time and the inner is
+   read once per chunk, Pt1 + ⌈Pt1/(B-2)⌉·Pj′, against nested loops'
+   Pt1 + Nt1·Pj′ followed by a sort of the join output. *)
+let band_passes ~b ~pt1 =
+  Float.max 1. (ceil (pt1 /. float_of_int (max 1 (b - 2))))
+
+let band_agg ~b ~pt1 ~pj = pt1 +. (band_passes ~b ~pt1 *. pj)
+
+(* Only a run of several chunks needs its left side in group order; one
+   not known to arrive so is written, sorted and re-read first. *)
+let band_left_sort ~b ~pt1 ~in_order =
+  if in_order || band_passes ~b ~pt1 <= 1. then 0.
+  else (2. *. pt1) +. sort_cost ~rounding:Ceil ~b pt1
+
+(* CPU: sorting the left keys once, and per pass a binary search over one
+   chunk's keys for every inner tuple. *)
+let band_agg_blended ~b ~pt1 ~pj ~nt1 ~nj =
+  let passes = band_passes ~b ~pt1 in
+  blended ~io:(band_agg ~b ~pt1 ~pj)
+    ~tuples:((nt1 *. log2 nt1) +. (passes *. nj *. log2 (nt1 /. passes)))

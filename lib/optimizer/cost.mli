@@ -122,3 +122,24 @@ val hash_agg_blended : pi:float -> ni:float -> float
 (** Sort-based aggregation / dedup over an unsorted input. *)
 val sort_agg_blended :
   ?rounding:rounding -> b:int -> pi:float -> ni:float -> unit -> float
+
+(** {2 Beyond the paper: band aggregation} *)
+
+(** Reads of the inner by a band aggregate whose left side is [pt1] pages:
+    ⌈Pt1/(B-2)⌉, at least 1. *)
+val band_passes : b:int -> pt1:float -> float
+
+(** Page I/O of a band aggregate: Pt1 + ⌈Pt1/(B-2)⌉·Pj′ (compare
+    {!nested_iteration}'s Pt1 + Nt1·Pj′, which also leaves the join output
+    to be sorted and grouped). *)
+val band_agg : b:int -> pt1:float -> pj:float -> float
+
+(** The extra I/O of a band aggregate whose left side needs more than one
+    chunk and is not known to arrive in group order: write, sort (Kim's
+    ceilinged logs) and re-read it; 0 otherwise. *)
+val band_left_sort : b:int -> pt1:float -> in_order:bool -> float
+
+(** {!band_agg} plus the CPU of sorting the left keys and, per pass, one
+    binary search per inner tuple. *)
+val band_agg_blended :
+  b:int -> pt1:float -> pj:float -> nt1:float -> nj:float -> float

@@ -216,6 +216,28 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
             if group_by = [] then 1. else Float.max 1. (i.rows /. 3.)
           in
           { rows; pages = derived_pages node rows; cost = i.cost }
+      | Exec.Plan.Band_agg { group_by; left; right; _ } ->
+          (* one read of the inner per B-2 pages of the left side: a
+             stored inner is re-scanned, any other is written once first
+             when one read does not suffice, and a left side not known to
+             be in group order is then sorted.  At most one row per left
+             row. *)
+          let l = go left and r = go right in
+          let passes = Cost.band_passes ~b ~pt1:l.pages in
+          let inner =
+            if passes <= 1. then r.cost
+            else if base_rel right <> None then passes *. r.cost
+            else r.cost +. r.pages +. (passes *. r.pages)
+          in
+          let left_sort =
+            Cost.band_left_sort ~b ~pt1:l.pages
+              ~in_order:(Exec.Plan.emits_in_order catalog left group_by)
+          in
+          {
+            rows = l.rows;
+            pages = derived_pages node l.rows;
+            cost = l.cost +. left_sort +. inner;
+          }
     in
     acc := (node, result) :: !acc;
     result
@@ -230,13 +252,23 @@ let root catalog plan =
 
 let estimator catalog plan =
   let entries = analyze catalog plan in
+  let find node =
+    List.find_map (fun (n, t) -> if n == node then Some t else None) entries
+  in
+  let b = Pager.buffer_pages (Catalog.pager catalog) in
   fun node ->
-    List.find_map
-      (fun (n, t) ->
-        if n == node then
-          Some { Exec.Explain.est_rows = t.rows; est_cost = t.cost }
-        else None)
-      entries
+    Option.map
+      (fun t ->
+        let est_passes =
+          match node with
+          | Exec.Plan.Band_agg { left; _ } ->
+              Option.map
+                (fun l -> Cost.band_passes ~b ~pt1:l.pages)
+                (find left)
+          | _ -> None
+        in
+        { Exec.Explain.est_rows = t.rows; est_cost = t.cost; est_passes })
+      (find node)
 
 (* ------------------------------------------------------------------ *)
 (* Batched-bindings fallback costing                                   *)

@@ -81,6 +81,7 @@ type state = {
   sorted : col_ref list option; (* current physical order, if known *)
   est_rows : float;
   est_pages : float;
+  step_cost : float; (* the last join step's cost in the mode's metric *)
 }
 
 let scalar_tables = function
@@ -228,6 +229,7 @@ let base_state catalog (f : from_item) (filters : predicate list) : state =
     sorted;
     est_rows = rows;
     est_pages;
+    step_cost = 0.;
   }
 
 (* Split the conditions that connect [left] with table [alias]. *)
@@ -338,40 +340,38 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
             | None | (exception Relalg.Schema.Ambiguous _) -> None)
         oriented
   in
-  let method_ =
+  (* Paper1987 ranks on page I/O alone (the paper's model); Hybrid re-costs
+     every method under the blended I/O+CPU model and adds the hash path
+     when its build side fits the pool. *)
+  let nl_c, merge_c, hash_c =
+    match mode with
+    | Paper1987 -> (nl_cost, merge_cost, infinity)
+    | Hybrid ->
+        ( Cost.nl_join_blended ~io:nl_cost ~ni:left.est_rows ~nj:right.est_rows,
+          (if eq_conds = [] then infinity
+           else
+             Cost.merge_join_blended ~b ~sort_left:(not left_sorted)
+               ~sort_right:(not right_sorted) ~pi:left.est_pages
+               ~pj:right.est_pages ~ni:left.est_rows ~nj:right.est_rows ()),
+          if eq_conds = [] || right.est_pages > float_of_int (b - 1) then
+            infinity
+          else
+            Cost.hash_join_blended ~pi:left.est_pages ~pj:right.est_pages
+              ~ni:left.est_rows ~nj:right.est_rows )
+  in
+  let method_, step_cost =
     match force with
-    | Force_hash when eq_conds <> [] -> `Hash
-    | Force_merge when eq_conds <> [] -> `Merge
-    | Force_merge | Force_nl | Force_hash -> `Nl
+    | Force_hash when eq_conds <> [] -> (`Hash, hash_c)
+    | Force_merge when eq_conds <> [] -> (`Merge, merge_c)
+    | Force_merge | Force_nl | Force_hash -> (`Nl, nl_c)
     | Auto -> (
-        (* Paper1987 ranks on page I/O alone (the paper's model); Hybrid
-           re-costs every method under the blended I/O+CPU model and adds
-           the hash path when its build side fits the pool. *)
-        let nl_c, merge_c, hash_c =
-          match mode with
-          | Paper1987 -> (nl_cost, merge_cost, infinity)
-          | Hybrid ->
-              ( Cost.nl_join_blended ~io:nl_cost ~ni:left.est_rows
-                  ~nj:right.est_rows,
-                (if eq_conds = [] then infinity
-                 else
-                   Cost.merge_join_blended ~b ~sort_left:(not left_sorted)
-                     ~sort_right:(not right_sorted) ~pi:left.est_pages
-                     ~pj:right.est_pages ~ni:left.est_rows ~nj:right.est_rows
-                     ()),
-                if eq_conds = [] || right.est_pages > float_of_int (b - 1)
-                then infinity
-                else
-                  Cost.hash_join_blended ~pi:left.est_pages
-                    ~pj:right.est_pages ~ni:left.est_rows ~nj:right.est_rows )
-        in
         let best_of_two = if merge_c < nl_c then `Merge else `Nl in
         let best_cost = Float.min merge_c nl_c in
         let best = if hash_c < best_cost then `Hash else best_of_two in
         let best_cost = Float.min hash_c best_cost in
         match index_candidate with
-        | Some (cond, c) when c < best_cost -> `Index cond
-        | _ -> best)
+        | Some (cond, c) when c < best_cost -> (`Index cond, c)
+        | _ -> (best, best_cost))
   in
   let use_merge = method_ = `Merge in
   let kind = if outer_join then Exec.Plan.Left_outer else Exec.Plan.Inner in
@@ -475,7 +475,95 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
     sorted;
     est_rows;
     est_pages = est_pages_of_rows catalog ~rows:est_rows schema;
+    step_cost;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Band aggregation (beyond the paper)                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A two-table GROUP BY whose tables meet on one <, <=, > or >= condition
+   plus any equalities — NEST-JA2's temp for a non-equality correlation,
+   the §8 ALL rewrite's counting temp — need not produce the join's rows:
+   [Exec.Plan.Band_agg] streams the inner once per B-2 pages of the left
+   side.  The shape also needs the group keys on the left, including every
+   left join column, and the aggregates over right columns (SUM/AVG over
+   Int only).  Returns the node and its cost in the mode's metric,
+   Pt1 + ⌈Pt1/(B-2)⌉·Pj′ (plus a sort of an unordered left side that
+   needs more than one chunk). *)
+let band_agg_plan catalog ~mode (q : query) ~(left : state) ~(right : state)
+    ~alias ~conds ~aggs =
+  let oriented = List.map (orient_cond ~alias) conds in
+  let resolve schema (c : col_ref) =
+    match Schema.find_opt schema ?rel:c.table c.column with
+    | found -> found
+    | exception Schema.Ambiguous _ -> None
+  in
+  (* a column of one side only, so the joined schema resolves it there *)
+  let only schema ~other c =
+    if resolve other c = None then resolve schema c else None
+  in
+  let left_col = only left.schema ~other:right.schema in
+  let right_col = only right.schema ~other:left.schema in
+  let keys = List.map left_col q.group_by in
+  let shape_ok =
+    q.group_by <> []
+    && (match Exec.Plan.band_split oriented with
+       | _ -> true
+       | exception Exec.Plan.Plan_error _ -> false)
+    && List.for_all Option.is_some keys
+    && List.for_all
+         (fun (lc, _, rc) ->
+           (match left_col lc with
+           | Some p -> List.mem (Some p) keys
+           | None -> false)
+           && right_col rc <> None)
+         oriented
+    && List.for_all
+         (fun { Exec.Plan.fn; _ } ->
+           match Option.map right_col (agg_arg fn) with
+           | None -> true
+           | Some None -> false
+           | Some (Some i) -> (
+               match fn with
+               | Sum _ | Avg _ ->
+                   (Schema.column right.schema i).ty = Value.Tint
+               | Count_star | Count _ | Max _ | Min _ -> true))
+         aggs
+  in
+  if not shape_ok then None
+  else
+    let b = Storage.Pager.buffer_pages (Catalog.pager catalog) in
+    let pt1 = left.est_pages and pj = right.est_pages in
+    let left_sort =
+      Cost.band_left_sort ~b ~pt1
+        ~in_order:(Exec.Plan.emits_in_order catalog left.node q.group_by)
+    in
+    let cost =
+      left_sort
+      +.
+      match mode with
+      | Paper1987 -> Cost.band_agg ~b ~pt1 ~pj
+      | Hybrid ->
+          Cost.band_agg_blended ~b ~pt1 ~pj ~nt1:left.est_rows
+            ~nj:right.est_rows
+    in
+    let kind =
+      if List.exists (function Cmp_outer _ -> true | _ -> false) conds then
+        Exec.Plan.Left_outer
+      else Exec.Plan.Inner
+    in
+    Some
+      ( Exec.Plan.Band_agg
+          {
+            kind;
+            cond = oriented;
+            group_by = q.group_by;
+            aggs;
+            left = left.node;
+            right = right.node;
+          },
+        cost )
 
 (* ------------------------------------------------------------------ *)
 (* Whole-query lowering                                                *)
@@ -569,27 +657,67 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
            <= Cost.sort_agg_blended ~rounding:Cost.Ceil ~b ~pi:state.est_pages
                 ~ni:state.est_rows ()
       in
-      let node =
-        if use_hash then
-          Exec.Plan.Hash_group_agg
-            { group_by = q.group_by; aggs; input = state.node }
-        else
-          let input =
-            if q.group_by = [] || sorted_ok then state.node
-            else Exec.Plan.Sort (q.group_by, state.node)
-          in
-          Exec.Plan.Group_agg { group_by = q.group_by; aggs; input }
+      (* Under Auto, a band aggregate replaces the join and the GROUP BY
+         when it costs no more than both (ties go to it: it never emits the
+         join's rows). *)
+      let band =
+        match (force, q.from, leftover) with
+        | Auto, [ _; right_f ], [] -> (
+            let alias = from_alias right_f in
+            let right = base_state catalog right_f (filters_of alias) in
+            let replaced =
+              state.step_cost
+              +.
+              match mode with
+              | _ when sorted_ok -> 0.
+              | Paper1987 -> sort_cost ~b state.est_pages +. state.est_pages
+              | Hybrid when use_hash ->
+                  Cost.hash_agg_blended ~pi:state.est_pages ~ni:state.est_rows
+              | Hybrid ->
+                  Cost.sort_agg_blended ~rounding:Cost.Ceil ~b
+                    ~pi:state.est_pages ~ni:state.est_rows ()
+            in
+            match
+              band_agg_plan catalog ~mode q ~left:state0 ~right ~alias
+                ~conds:join_conds ~aggs
+            with
+            | Some (node, cost) when cost <= replaced -> Some node
+            | _ -> None)
+        | _ -> None
       in
-      let schema = Exec.Plan.output_schema catalog node in
-      {
-        state with
-        node;
-        schema;
-        sorted =
-          (if q.group_by = [] || use_hash then None else Some q.group_by);
-        est_rows = est_groups;
-        est_pages = est_pages_of_rows catalog ~rows:state.est_rows schema;
-      }
+      match band with
+      | Some node ->
+          let schema = Exec.Plan.output_schema catalog node in
+          {
+            state with
+            node;
+            schema;
+            sorted = Some q.group_by;
+            est_rows = state0.est_rows;
+            est_pages = est_pages_of_rows catalog ~rows:state0.est_rows schema;
+          }
+      | None ->
+          let node =
+            if use_hash then
+              Exec.Plan.Hash_group_agg
+                { group_by = q.group_by; aggs; input = state.node }
+            else
+              let input =
+                if q.group_by = [] || sorted_ok then state.node
+                else Exec.Plan.Sort (q.group_by, state.node)
+              in
+              Exec.Plan.Group_agg { group_by = q.group_by; aggs; input }
+          in
+          let schema = Exec.Plan.output_schema catalog node in
+          {
+            state with
+            node;
+            schema;
+            sorted =
+              (if q.group_by = [] || use_hash then None else Some q.group_by);
+            est_rows = est_groups;
+            est_pages = est_pages_of_rows catalog ~rows:state.est_rows schema;
+          }
     end
     else state
   in

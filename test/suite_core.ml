@@ -271,18 +271,23 @@ let test_core_adds_no_io =
    SUPPLY tables (with NULLs) over a 3-page pool of 64-byte pages make
    every sort a multi-run, multi-pass merge. *)
 let test_runs_free_their_heaps () =
-  let db = Core.create_db ~buffer_pages:3 ~page_bytes:64 () in
-  let int_or_null n = if n mod 7 = 0 then Value.Null else Value.Int n in
-  Core.define_table db "PARTS" F.parts_schema
-    (List.init 40 (fun n ->
-         [ Value.Int (n mod 25); int_or_null ((n * 7) mod 9) ]));
-  Core.define_table db "SUPPLY" F.supply_schema
-    (List.init 160 (fun n ->
-         [
-           int_or_null ((n * 13) mod 31);
-           Value.Int (n mod 6);
-           F.date (if n mod 3 = 0 then "7-3-79" else "8-10-81");
-         ]));
+  (* [qoh_nulls:false] keeps the §8 ALL rewrite, which refuses a nullable
+     outer column, on the transformed path. *)
+  let make_db ~qoh_nulls =
+    let db = Core.create_db ~buffer_pages:3 ~page_bytes:64 () in
+    let int_or_null n = if n mod 7 = 0 then Value.Null else Value.Int n in
+    let qoh n = if qoh_nulls then int_or_null n else Value.Int n in
+    Core.define_table db "PARTS" F.parts_schema
+      (List.init 40 (fun n -> [ Value.Int (n mod 25); qoh ((n * 7) mod 9) ]));
+    Core.define_table db "SUPPLY" F.supply_schema
+      (List.init 160 (fun n ->
+           [
+             int_or_null ((n * 13) mod 31);
+             Value.Int (n mod 6);
+             F.date (if n mod 3 = 0 then "7-3-79" else "8-10-81");
+           ]));
+    db
+  in
   let queries =
     [
       "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY WHERE \
@@ -296,37 +301,133 @@ let test_runs_free_their_heaps () =
        WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN > 3)";
     ]
   in
+  (* The band aggregate's shapes: at B = 3 it holds one page of left rows
+     per chunk, so both take several chunks, and Q5's streamed inner is
+     materialized once and re-read per chunk. *)
+  let band_queries =
+    [
+      "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY \
+       WHERE SUPPLY.PNUM < PARTS.PNUM AND SHIPDATE < '1-1-80')";
+      "SELECT PNUM FROM PARTS WHERE QOH > ALL (SELECT QUAN FROM SUPPLY \
+       WHERE SUPPLY.PNUM = PARTS.PNUM)";
+    ]
+  in
+  let band_db = make_db ~qoh_nulls:false in
+  List.iter
+    (fun sql ->
+      match Core.explain_query ~analyze:true band_db sql with
+      | Error e -> Alcotest.fail e
+      | Ok text ->
+          let passes =
+            match
+              Str.search_forward
+                (Str.regexp "io=[0-9/]+ passes=\\([0-9]+\\))")
+                text 0
+            with
+            | _ -> int_of_string (Str.matched_group 1 text)
+            | exception Not_found -> 0
+          in
+          Alcotest.(check bool)
+            (sql ^ ": a band aggregate reads its inner per chunk")
+            true (passes > 1))
+    band_queries;
   let joins = Optimizer.Planner.[ Auto; Force_nl; Force_merge; Force_hash ] in
   let strategies =
     (Core.Nested_iteration :: Core.Auto
      :: List.map (fun j -> Core.Transformed j) joins)
     @ List.map (fun j -> Core.Batched j) joins
   in
-  let pager = Core.Catalog.pager (Core.catalog db) in
   let ran = ref 0 in
   List.iter
-    (fun sql ->
+    (fun (db, queries) ->
+      let pager = Core.Catalog.pager (Core.catalog db) in
       List.iter
-        (fun strategy ->
+        (fun sql ->
           List.iter
-            (fun mode ->
+            (fun strategy ->
               List.iter
-                (fun engine ->
-                  let before = Core.Pager.stored_pages pager in
-                  (match Core.run ~strategy ~mode ~engine db sql with
-                  | Ok _ -> incr ran
-                  | Error _ -> ());
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s / %s / %s: stored pages" sql
-                       (Core.strategy_name strategy)
-                       (Exec.Plan.engine_name engine))
-                    before
-                    (Core.Pager.stored_pages pager))
-                Exec.Plan.[ Tuple; Vectorized ])
-            Optimizer.Planner.[ Paper1987; Hybrid ])
-        strategies)
-    queries;
+                (fun mode ->
+                  List.iter
+                    (fun engine ->
+                      let before = Core.Pager.stored_pages pager in
+                      (match Core.run ~strategy ~mode ~engine db sql with
+                      | Ok _ -> incr ran
+                      | Error _ -> ());
+                      Alcotest.(check int)
+                        (Printf.sprintf "%s / %s / %s: stored pages" sql
+                           (Core.strategy_name strategy)
+                           (Exec.Plan.engine_name engine))
+                        before
+                        (Core.Pager.stored_pages pager))
+                    Exec.Plan.[ Tuple; Vectorized ])
+                Optimizer.Planner.[ Paper1987; Hybrid ])
+            strategies)
+        queries)
+    [ (make_db ~qoh_nulls:true, queries); (band_db, band_queries) ];
   Alcotest.(check bool) "most cells ran" true (!ran > 100)
+
+(* Exact page counters of the two band-aggregate statements (the §5.3 Q5
+   with a non-equality correlation, and the §8 ALL rewrite's counting
+   temp) on a fixed seeded PARTS/SUPPLY database whose filtered SUPPLY
+   (~150 pages) outgrows the 16-page pool.  Under Auto each reads its
+   inner once, with no sort anywhere in the pipeline; under Force_nl the
+   nested-loop join re-reads the inner per outer key, and its counts are
+   those this plan has always had. *)
+let band_gate_db () =
+  let rng = Random.State.make [| 16 |] in
+  let db = Core.create_db ~buffer_pages:16 ~page_bytes:256 () in
+  let define rel =
+    Core.define_table db
+      (Core.Schema.column (Relation.schema rel) 0).Core.Schema.rel
+      (List.map
+         (fun (c : Core.Schema.column) -> (c.name, c.ty))
+         (Core.Schema.columns (Relation.schema rel)))
+      (List.map Relalg.Row.to_list (Relation.rows rel))
+  in
+  define (Workload.Gen.parts rng ~n:60 ~key_range:400);
+  define (Workload.Gen.supply rng ~n:3000 ~key_range:300);
+  db
+
+let band_q5 =
+  "SELECT PNUM FROM PARTS WHERE PNUM <= 150 AND QOH = (SELECT MAX(QUAN) FROM \
+   SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM AND SHIPDATE < '1-1-80')"
+
+let band_all =
+  "SELECT PNUM FROM PARTS WHERE QOH > ALL (SELECT QUAN FROM SUPPLY WHERE \
+   SUPPLY.PNUM = PARTS.PNUM)"
+
+let test_band_gate () =
+  let counters strategy sql =
+    match Core.run ~strategy (band_gate_db ()) sql with
+    | Error e -> Alcotest.fail e
+    | Ok e ->
+        let io = e.Core.io in
+        Core.Pager.(io.logical_reads, io.physical_reads, io.physical_writes)
+  in
+  let pin label strategy sql expected =
+    Alcotest.(check (triple int int int)) label expected (counters strategy sql)
+  in
+  pin "Q5 auto" Core.Auto band_q5 (360, 308, 6);
+  pin "ALL auto" Core.Auto band_all (638, 500, 212);
+  let nl = Core.Transformed Optimizer.Planner.Force_nl in
+  pin "Q5 force_nl" nl band_q5 (3810, 3759, 156);
+  pin "ALL force_nl" nl band_all (11730, 11592, 212);
+  List.iter
+    (fun sql ->
+      match Core.explain_query ~analyze:true (band_gate_db ()) sql with
+      | Error e -> Alcotest.fail e
+      | Ok text ->
+          let found re =
+            match Str.search_forward (Str.regexp re) text 0 with
+            | _ -> true
+            | exception Not_found -> false
+          in
+          Alcotest.(check bool) (sql ^ ": band aggregate") true
+            (found "BandAgg");
+          Alcotest.(check bool) (sql ^ ": no sort") false (found "Sort by");
+          Alcotest.(check bool) (sql ^ ": one read of the inner") true
+            (found "passes=1)  (actual: .* passes=1)"))
+    [ band_q5; band_all ]
 
 let suites =
   [
@@ -345,5 +446,7 @@ let suites =
         QCheck_alcotest.to_alcotest test_core_adds_no_io;
         Alcotest.test_case "runs free their heaps" `Quick
           test_runs_free_their_heaps;
+        Alcotest.test_case "band aggregate: exact page counters" `Quick
+          test_band_gate;
       ] );
   ]

@@ -156,6 +156,59 @@ let test_golden_analyze_ja () =
     (scrub_times
        (Result.get_ok (Core.explain_query ~analyze:true db F.query_q2)))
 
+(* Q5 on the §5.3 instance: NEST-JA2's TEMP#2 is a band aggregate, whose
+   line carries its reads of the inner, estimated and actual. *)
+let test_golden_analyze_band () =
+  let db = Core.create_db ~buffer_pages:8 ~page_bytes:64 () in
+  let define name rel =
+    Core.define_table db name
+      (List.map
+         (fun (c : Core.Schema.column) -> (c.name, c.ty))
+         (Core.Schema.columns (Relation.schema rel)))
+      (List.map Relalg.Row.to_list (Relation.rows rel))
+  in
+  define "PARTS" F.neq_parts;
+  define "SUPPLY" F.neq_supply;
+  check_golden "Q5 band aggregate explain analyze"
+    (String.concat "\n"
+       [
+         "temp TEMP#1:";
+         "  Distinct  (cost=3.0 rows=3)  (actual: rows=3 next=4 \
+          rows/call=0.8 time=_ms io=3/0/3)";
+         "    Project PARTS.PNUM  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
+          rows/call=0.8 time=_ms io=0/0/0)";
+         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
+          rows/call=0.8 time=_ms io=1/0/0)";
+         "";
+         "temp TEMP#2:";
+         "  Project TEMP#1.PNUM, agg.MAX_QUAN  (cost=3.0 rows=3)  (actual: \
+          rows=2 next=3 rows/call=0.7 time=_ms io=0/0/0)";
+         "    BandAgg by [TEMP#1.PNUM] on TEMP#1.PNUM > SUPPLY.PNUM \
+          computing [MAX(SUPPLY.QUAN) AS MAX_QUAN]  (cost=3.0 rows=3 \
+          passes=1)  (actual: rows=2 next=3 rows/call=0.7 time=_ms \
+          io=0/0/0 passes=1)";
+         "      Scan TEMP#1  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
+          rows/call=0.8 time=_ms io=1/0/0)";
+         "      Filter SUPPLY.SHIPDATE < '1980-01-01'  (cost=2.0 rows=4)  \
+          (actual: rows=4 next=5 rows/call=0.8 time=_ms io=0/0/0)";
+         "        Scan SUPPLY  (cost=2.0 rows=4)  (actual: rows=4 next=5 \
+          rows/call=0.8 time=_ms io=2/0/0)";
+         "";
+         "main:";
+         "  Project PARTS.PNUM  (cost=2.0 rows=2)  (actual: rows=1 next=2 \
+          rows/call=0.5 time=_ms io=0/0/0)";
+         "    nested-loop inner join on PARTS.QOH = TEMP#2.MAX_QUAN AND \
+          PARTS.PNUM <=> TEMP#2.PNUM  (cost=2.0 rows=2)  (actual: rows=1 \
+          next=2 rows/call=0.5 time=_ms io=3/0/0)";
+         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
+          rows/call=0.8 time=_ms io=1/0/0)";
+         "      Scan TEMP#2  (cost=1.0 rows=2)  (actual: -)";
+         "";
+       ]
+    ^ "\nequivalence: verified up to 2 rows/relation (22330 databases)")
+    (scrub_times
+       (Result.get_ok (Core.explain_query ~analyze:true db F.query_q5)))
+
 let test_plain_explain_has_no_actuals () =
   let db = make_parts_db () in
   let text = Result.get_ok (Core.explain_query db F.query_q2) in
@@ -392,6 +445,8 @@ let suites =
         Alcotest.test_case "type-J" `Quick test_golden_type_j;
         Alcotest.test_case "type-JA" `Quick test_golden_type_ja;
         Alcotest.test_case "type-JA analyze" `Quick test_golden_analyze_ja;
+        Alcotest.test_case "Q5 band aggregate analyze" `Quick
+          test_golden_analyze_band;
         Alcotest.test_case "plain has no actuals" `Quick
           test_plain_explain_has_no_actuals;
         Alcotest.test_case "analyze agrees with run" `Quick

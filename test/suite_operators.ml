@@ -255,6 +255,146 @@ let prop_group_agg =
     seed_gen trial_group_agg
 
 (* ------------------------------------------------------------------ *)
+(* Band aggregation                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [Band_agg] against the plan it replaces — a nested-loop join, a sort
+   on the group key and a sorted GROUP BY — on the same stored inputs:
+   the same rows in the same (group-key) order, for every band operator,
+   both join kinds, 0 or 1 equality segment ([=] or [<=>]) and every
+   supported aggregate, under both engines.  B = 3 and 4 hold one or two
+   pages of left rows per chunk, so most inputs take several chunks (the
+   left re-read in group order, a streamed inner materialized once); B = 64
+   holds them in one.  Inputs are NULL-dense or not, have duplicate keys,
+   and are sometimes empty; the left is sometimes stored pre-sorted on the
+   group key, the inner sometimes streamed through a filter.  Every run
+   must leave the simulated disk as it found it. *)
+let band_aggs =
+  let col t c = { Sql.Ast.table = Some t; column = c } in
+  [
+    { Exec.Plan.fn = Sql.Ast.Count_star; out_name = "CNT_STAR" };
+    { Exec.Plan.fn = Sql.Ast.Count (col "R" "V"); out_name = "CNT" };
+    { Exec.Plan.fn = Sql.Ast.Sum (col "R" "V"); out_name = "SUM" };
+    { Exec.Plan.fn = Sql.Ast.Avg (col "R" "V"); out_name = "AVG" };
+    { Exec.Plan.fn = Sql.Ast.Min (col "R" "V"); out_name = "MIN" };
+    { Exec.Plan.fn = Sql.Ast.Max (col "R" "K"); out_name = "MAX" };
+  ]
+
+let trial_band_agg seed =
+  let rng = Random.State.make [| seed |] in
+  let col t c = { Sql.Ast.table = Some t; column = c } in
+  let key_range = G.int_in rng 1 5 in
+  let null_pct = if seed mod 3 = 0 then 60 else 15 in
+  let n_left = if seed mod 10 = 0 then 0 else G.int_in rng 1 30 in
+  let n_right = if seed mod 10 = 1 then 0 else G.int_in rng 1 30 in
+  let left = G.keyed_relation rng ~rel:"L" ~n:n_left ~key_range ~null_pct in
+  let right = G.keyed_relation rng ~rel:"R" ~n:n_right ~key_range ~null_pct in
+  let presorted = seed mod 2 = 0 in
+  let streamed = seed mod 4 < 2 in
+  let eq_op = if seed mod 5 = 0 then Sql.Ast.Eq_null else Sql.Ast.Eq in
+  let run ~b ~op ~kind ~segments ~engine =
+    let group_by =
+      match segments with
+      | 1 -> [ col "L" "K"; col "L" "V" ]
+      | _ when seed mod 3 = 1 -> [ col "L" "V"; col "L" "K" ]
+      | _ -> [ col "L" "V" ]
+    in
+    let catalog =
+      Storage.Catalog.create (Pager.create ~buffer_pages:b ~page_bytes:64 ())
+    in
+    (if presorted then
+       let key = if segments = 1 then [ 0; 1 ] else [ 1; 0 ] in
+       let rows = List.sort (Row.compare_on key) (Relation.rows left) in
+       Storage.Catalog.register_relation ~sorted_on:key catalog "L"
+         (Relation.make (Relation.schema left) rows)
+     else Storage.Catalog.register_relation catalog "L" left);
+    Storage.Catalog.register_relation catalog "R" right;
+    let right_node =
+      if streamed then
+        Exec.Plan.Filter
+          ( [
+              Sql.Ast.Cmp
+                ( Sql.Ast.Col (col "R" "V"),
+                  Sql.Ast.Le,
+                  Sql.Ast.Lit (Value.Int 7) );
+            ],
+            Exec.Plan.Scan "R" )
+      else Exec.Plan.Scan "R"
+    in
+    let cond =
+      (if segments = 1 then [ (col "L" "K", eq_op, col "R" "K") ] else [])
+      @ [ (col "L" "V", op, col "R" "V") ]
+    in
+    let band =
+      Exec.Plan.Band_agg
+        {
+          kind;
+          cond;
+          group_by;
+          aggs = band_aggs;
+          left = Exec.Plan.Scan "L";
+          right = right_node;
+        }
+    in
+    let reference =
+      Exec.Plan.Group_agg
+        {
+          group_by;
+          aggs = band_aggs;
+          input =
+            Exec.Plan.Sort
+              ( group_by,
+                Exec.Plan.Join
+                  {
+                    method_ = Exec.Plan.Nested_loop;
+                    kind;
+                    cond;
+                    residual = [];
+                    left = Exec.Plan.Scan "L";
+                    right = right_node;
+                  } );
+        }
+    in
+    let pager = Storage.Catalog.pager catalog in
+    let before = Pager.stored_pages pager in
+    let run_plan =
+      match engine with
+      | Exec.Plan.Tuple -> Exec.Plan.run catalog
+      | Exec.Plan.Vectorized -> Exec.Plan.run_vec catalog
+    in
+    let got = Relation.rows (run_plan band) in
+    let expected = Relation.rows (Exec.Plan.run catalog reference) in
+    let label =
+      Fmt.str "B=%d %s %s segments=%d %s" b (Sql.Ast.cmp_name op)
+        (match kind with Exec.Plan.Inner -> "inner" | _ -> "left-outer")
+        segments (Exec.Plan.engine_name engine)
+    in
+    check_bags ("band aggregate vs nested loop + GROUP BY, " ^ label) got
+      expected
+    && Pager.stored_pages pager = before
+  in
+  List.for_all
+    (fun b ->
+      List.for_all
+        (fun op ->
+          List.for_all
+            (fun kind ->
+              List.for_all
+                (fun segments ->
+                  List.for_all
+                    (fun engine -> run ~b ~op ~kind ~segments ~engine)
+                    [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
+                [ 0; 1 ])
+            [ Exec.Plan.Inner; Exec.Plan.Left_outer ])
+        Sql.Ast.[ Lt; Le; Gt; Ge ])
+    [ 3; 4; 64 ]
+
+let prop_band_agg =
+  QCheck2.Test.make
+    ~name:"band aggregate = nested loop + sorted GROUP BY (rows and order)"
+    ~count:60 seed_gen trial_band_agg
+
+(* ------------------------------------------------------------------ *)
 (* Planner modes                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,7 +443,8 @@ let rec plan_has pred (n : Exec.Plan.node) =
   | Exec.Plan.Hash_distinct i
   | Exec.Plan.Sort (_, i) ->
       plan_has pred i
-  | Exec.Plan.Join { left; right; _ } ->
+  | Exec.Plan.Join { left; right; _ } | Exec.Plan.Band_agg { left; right; _ }
+    ->
       plan_has pred left || plan_has pred right
   | Exec.Plan.Group_agg { input; _ } | Exec.Plan.Hash_group_agg { input; _ } ->
       plan_has pred input
@@ -358,6 +499,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_joins_mixed_types;
         QCheck_alcotest.to_alcotest prop_distinct;
         QCheck_alcotest.to_alcotest prop_group_agg;
+        QCheck_alcotest.to_alcotest prop_band_agg;
       ] );
     ( "operators.planner_modes",
       [

@@ -694,7 +694,8 @@ let test_planner_join_method_choice () =
       | Exec.Plan.Group_agg { input; _ } | Exec.Plan.Hash_group_agg { input; _ }
         ->
           find input
-      | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ -> None
+      | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ | Exec.Plan.Band_agg _ ->
+          None
     in
     find plan
   in
@@ -728,7 +729,7 @@ let test_planner_uses_index () =
         find n
     | Exec.Plan.Group_agg { input; _ } | Exec.Plan.Hash_group_agg { input; _ } ->
         find input
-    | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ -> None
+    | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ | Exec.Plan.Band_agg _ -> None
   in
   Alcotest.(check bool) "few probes into a big indexed table -> index join"
     true
