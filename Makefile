@@ -81,25 +81,22 @@ perf-pairs:
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable perf run: writes BENCH_perf.json (wall-clock, page I/O,
-# rows over the query grid under both execution engines, plus the pager
-# scaling microbench).
+# Machine-readable counter grid: writes BENCH_perf.json (schema v6: page
+# I/O, rows, planner estimates and per-operator breakdowns over the query
+# grids, one run per cell; no timing, which is perfbench's job).
 bench-json:
 	dune exec bench/main.exe -- --json
 
-# CI-speed structural run of the same code path: one small scale, fewer
-# reps, writes BENCH_perf.smoke.json and exits non-zero if the file does
-# not parse as JSON, the v5 schema validation fails, batched fails to beat nested iteration on the
-# rewrite-refused skewed type-JA cell, indexed nested iteration fails to
-# beat the unindexed enumeration on physical I/O in the crossover sweep,
-# no crossover cell picks the untransformed indexed strategy, or any
-# smoke cell's rows, page counters or crossover estimates differ from the
-# same cell of the committed BENCH_perf.json.  Then prints every text
-# section (E1-E8, ablations, model, vec, timing) and fails if one exits
-# non-zero.  Not a perf artifact — it proves the bench harness, both
-# engines and all strategies still run end to end.
+# CI gate on the same grid: `bench --check` builds the whole document and
+# exits non-zero, one line per differing JSON path, unless it equals the
+# committed BENCH_perf.json; before that it fails if batched does not read
+# fewer pages than nested iteration on the rewrite-refused skewed type-JA
+# cell, indexed nested iteration fails to beat the unindexed enumeration
+# on page I/O in the crossover sweep, or no crossover cell picks the
+# untransformed indexed strategy.  Then prints every text section (E1-E8,
+# ablations, model) and fails if one exits non-zero.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke
+	dune exec bench/main.exe -- --check
 	dune exec bench/main.exe
 
 # API docs (requires odoc; CI installs it).

@@ -1,17 +1,18 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index E1-E8), prints paper-vs-ours
-   tables, ablations and median-of-k wall-clock timings, and writes the
-   BENCH_perf.json perf grid.  Every measured execution goes through
-   [Core.run_prepared], the pipeline users run; only Kim's NEST-JA, the
-   NEST-JA2 projection variants, the model check's temp sizes and the
-   EXPLAIN ANALYZE breakdowns drive the optimizer directly.
+   tables and ablations, and builds the BENCH_perf.json counter grid.  Every
+   measured execution goes through [Core.run_prepared], the pipeline users
+   run; only Kim's NEST-JA, the NEST-JA2 projection variants, the model
+   check's temp sizes and the EXPLAIN ANALYZE breakdowns drive the optimizer
+   directly.  Everything measured here is a deterministic counter (page I/O,
+   rows, estimates); timing is perfbench's job.
 
      dune exec bench/main.exe              # every section
      dune exec bench/main.exe -- fig1      # one section
-     dune exec bench/main.exe -- --json    # the perf grid -> BENCH_perf.json
-     dune exec bench/main.exe -- --smoke   # CI-size grid, gated against it
+     dune exec bench/main.exe -- --json    # the counter grid -> BENCH_perf.json
+     dune exec bench/main.exe -- --check   # the same grid, equal to that file
    Sections: fig1 sec74 bugs figure2 sweep ext strategies buffers indexes
-   projection model vec timing *)
+   projection model *)
 
 module Value = Relalg.Value
 module Relation = Relalg.Relation
@@ -69,10 +70,10 @@ let db_of catalog =
   db
 
 (* The PARTS/SUPPLY scale-up most sections measure on. *)
-let scaled ?(buffer_pages = 8) ?(page_bytes = 128) ?(seed = 42) ~n_parts
-    ~supply_per_part () =
+let scaled ?(buffer_pages = 8) ?(page_bytes = 128) ~n_parts ~supply_per_part
+    () =
   db_of
-    (G.scaled_catalog ~buffer_pages ~page_bytes ~seed ~n_parts
+    (G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
        ~supply_per_part ())
 
 let prepare db text =
@@ -80,51 +81,31 @@ let prepare db text =
   | Ok p -> p
   | Error msg -> invalid_arg (text ^ ": " ^ msg)
 
-(* [f ()] and its wall-clock seconds.  The GC is quiesced first so the
-   garbage of building the database is not collected inside the timed
-   region — without this, major slices land in random reps and a median
-   wobbles by tens of percent. *)
-let timed f =
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-type sample = { ex : Core.execution; wall : float }
-
 let nested = Core.Nested_iteration
 let transformed = Core.Transformed Planner.Auto
 let batched = Core.Batched Planner.Auto
 
-(* Execute a prepared statement by a forced strategy.  The rewrite is
-   forced before the clock starts, so the time covers the decision's
-   verification, planning and execution.  A refusal is an [Error]. *)
-let exec ?mode ?engine db strategy (p : Core.prepared) =
-  ignore (Lazy.force p.program);
-  let r, wall =
-    timed (fun () -> Core.run_prepared ~strategy ?mode ?engine db p)
-  in
-  Result.map (fun ex -> { ex; wall }) r
-
+(* Execute a statement by a forced strategy; a refusal is an [Error]. *)
 let run ?mode ?engine db strategy text =
-  exec ?mode ?engine db strategy (prepare db text)
+  Core.run_prepared ~strategy ?mode ?engine db (prepare db text)
 
 let answered = function
-  | Ok s -> s
+  | Ok ex -> ex
   | Error msg -> failwith ("unexpected refusal: " ^ msg)
 
-let io s = Pager.total_io s.ex.io
-let rows s = Relation.cardinality s.ex.result
+let io (ex : Core.execution) = Pager.total_io ex.io
+let rows (ex : Core.execution) = Relation.cardinality ex.result
 
 (* Table cells for an execution that may have been refused. *)
-let io_cell = function Ok s -> string_of_int (io s) | Error _ -> "-"
+let io_cell = function Ok ex -> string_of_int (io ex) | Error _ -> "-"
 
 let show_result = function
-  | Ok s -> show_ints s.ex.result "PNUM"
+  | Ok (ex : Core.execution) -> show_ints ex.result "PNUM"
   | Error _ -> "-"
 
 let same_bag reference = function
-  | Ok s -> string_of_bool (Relation.equal_bag reference s.ex.result)
+  | Ok (ex : Core.execution) ->
+      string_of_bool (Relation.equal_bag reference ex.result)
   | Error msg -> "refused: " ^ msg
 
 let savings ~nested:n r =
@@ -134,29 +115,6 @@ let savings ~nested:n r =
         (100. *. (1. -. (float_of_int (io t) /. float_of_int (io n))))
   | Ok _ -> "n/a (all cached)"
   | Error _ -> "-"
-
-(* Warm-up + median-of-k by [wall].  [once] builds a fresh database for
-   every run (cold pager, no temps left behind), so reps share no state.
-   The warm-up runs absorb allocator and code-path warm-up and the median
-   over [reps] the scheduler noise a single shot is hostage to; the first
-   warm-up run also finds out whether the cell runs at all. *)
-let median_of ~warmup ~reps wall once =
-  match once () with
-  | Error _ as refused -> refused
-  | Ok _ ->
-      for _ = 2 to warmup do
-        ignore (once ())
-      done;
-      let samples = List.init reps (fun _ -> Result.get_ok (once ())) in
-      let sorted =
-        List.sort (fun a b -> Float.compare (wall a) (wall b)) samples
-      in
-      Ok (List.nth sorted (reps / 2))
-
-let sampled ~warmup ~reps ?mode ?engine fresh strategy text =
-  median_of ~warmup ~reps
-    (fun s -> s.wall)
-    (fun () -> run ?mode ?engine (fresh ()) strategy text)
 
 (* ---------------- E1: Figure 1 ---------------------------------------- *)
 
@@ -302,7 +260,7 @@ let bugs () =
         let db = db_of (F.parts_supply_catalog variant) in
         let p = prepare db q3_style in
         let reference = Exec.Nested_iter.run (Core.catalog db) p.query in
-        let got = exec db transformed p in
+        let got = Core.run_prepared ~strategy:transformed db p in
         [ label; show_ints reference "PNUM"; show_result got;
           same_bag reference got ])
       [ ("kiessling data", F.Count_bug); ("sec. 5.3 data", F.Neq_bug);
@@ -324,10 +282,10 @@ let figure2 () =
   in
   let p = prepare db text in
   let reference = Exec.Nested_iter.run (Core.catalog db) p.query in
-  let got = exec db transformed p in
+  let got = Core.run_prepared ~strategy:transformed db p in
   let of_program f =
     match got with
-    | Ok { ex = { program = Some program; _ }; _ } -> f program
+    | Ok { Core.program = Some program; _ } -> f program
     | _ -> "-"
   in
   print_table ~title:"E6 / Figure 2: recursive NEST-G on a 4-block query tree"
@@ -374,7 +332,7 @@ let sweep () =
               string_of_int (io n);
               io_cell t;
               savings ~nested:n t;
-              same_bag n.ex.result t;
+              same_bag n.result t;
             ])
           [ 2; 4; 8; 16; 32 ]
       in
@@ -414,7 +372,7 @@ let ext () =
       (fun (name, text) ->
         let n = answered (run (db_of (F.kim_catalog ())) nested text) in
         let t = run (db_of (F.kim_catalog ())) transformed text in
-        [ name; string_of_int (rows n); same_bag n.ex.result t;
+        [ name; string_of_int (rows n); same_bag n.result t;
           string_of_int (io n); io_cell t ])
       cases
   in
@@ -516,7 +474,10 @@ let projection () =
         in
         let program = { Program.temps; main = rewritten } in
         let reference = Exec.Nested_iter.run (Core.catalog db) p.query in
-        let got = exec db transformed { p with program = lazy (Ok program) } in
+        let got =
+          Core.run_prepared ~strategy:transformed db
+            { p with program = lazy (Ok program) }
+        in
         [ label; show_result got; same_bag reference got; io_cell got ])
       [ ("with DISTINCT projection (NEST-JA2)", true);
         ("without projection (sec. 5.4 variant)", false) ]
@@ -588,95 +549,25 @@ let model () =
   Fmt.pr
     "(agreement within a few percent; residuals come from partial pages, LRU interference@.between concurrent scans, and the streamed pre-GROUP-BY join result.)@."
 
-(* ---------------- engine comparison ------------------------------------ *)
-
-(* Per-operator EXPLAIN ANALYZE of the hybrid pipeline under both engines
-   at the 10k-supply-row scale — where the vectorized wins (and any
-   regressions) actually live.  The "vec" section of the CLI. *)
-let vec () =
-  List.iter
-    (fun (kind, text) ->
-      List.iter
-        (fun engine ->
-          let db =
-            scaled ~buffer_pages:1024 ~page_bytes:256 ~n_parts:100
-              ~supply_per_part:100 ()
-          in
-          let program = Result.get_ok (Core.transform db text) in
-          let text, wall =
-            timed (fun () ->
-                Planner.explain_text ~mode:Planner.Hybrid ~analyze:true ~engine
-                  (Core.catalog db) program)
-          in
-          Fmt.pr "@.=== %s / %s engine (%.2fms incl. instrumentation) ===@.%s@."
-            kind
-            (Exec.Plan.engine_name engine)
-            (wall *. 1e3) text)
-        [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-    sweep_queries
-
-(* ---------------- wall-clock -------------------------------------------- *)
-
-(* Median-of-k wall-clock of both strategies and of the rewrite alone
-   ([Core.transform]: parse, analyze, NEST-G) on a mid-size workload. *)
-let timing () =
-  let warmup = 1 and reps = 9 in
-  let fresh () = scaled ~seed:7 ~n_parts:30 ~supply_per_part:8 () in
-  let wall strategy text =
-    Result.map
-      (fun s -> s.wall)
-      (sampled ~warmup ~reps fresh strategy text)
-  in
-  let rewrite_only text =
-    median_of ~warmup ~reps Fun.id (fun () ->
-        let db = fresh () in
-        let r, wall = timed (fun () -> Core.transform db text) in
-        Result.map (fun _ -> wall) r)
-  in
-  let show = function
-    | Error msg -> "refused: " ^ msg
-    | Ok s when s >= 1e-3 -> Printf.sprintf "%.2f ms" (s *. 1e3)
-    | Ok s -> Printf.sprintf "%.1f us" (s *. 1e6)
-  in
-  let rows =
-    List.concat_map
-      (fun (kind, text) ->
-        [
-          [ kind ^ " nested iteration"; show (wall nested text) ];
-          [ kind ^ " transformed"; show (wall transformed text) ];
-          [ kind ^ " rewrite only"; show (rewrite_only text) ];
-        ])
-      sweep_queries
-  in
-  print_table
-    ~title:
-      (Printf.sprintf
-         "Wall-clock (30 parts x 8 supply, B=8; median of %d runs after %d \
-          warm-up, fresh database each)"
-         reps warmup)
-    ~header:[ "benchmark"; "time/run" ] rows
 
 (* ---------------- BENCH_perf.json -------------------------------------- *)
 
-(* Machine-readable perf harness: wall-clock (median-of-k, see
-   [median_of]), logical / physical page I/O and row counts over a fixed
-   query grid (up to a 10k-row SUPPLY), comparing nested iteration, the
-   paper-mode pipeline and the hybrid-mode pipeline; plus a pager
-   microbench that pins the O(1) page-touch claim (cost flat as the pool
-   grows).  Written to BENCH_perf.json for regression tracking across
-   commits. *)
+(* The counter grid: logical / physical page I/O, row counts and planner
+   estimates over fixed query grids (up to a 10k-row SUPPLY), comparing
+   nested iteration, the paper-mode and the hybrid-mode pipelines, batched
+   evaluation and indexed nested iteration.  Each cell runs once on a fresh
+   database: every figure is deterministic, so the document reproduces
+   exactly and is gated as a whole against the committed BENCH_perf.json. *)
 
-let strategy_json ~name ~engine s =
-  let io = s.ex.io in
+let strategy_json ~name ~engine (ex : Core.execution) =
   Json.Obj
     [
       ("name", Str name);
       ("engine", Str engine);
-      ("wall_s", Float s.wall);
-      ("logical_reads", Int io.Pager.logical_reads);
-      ("physical_reads", Int io.Pager.physical_reads);
-      ("physical_writes", Int io.Pager.physical_writes);
-      ("rows", Int (rows s));
+      ("logical_reads", Int ex.io.Pager.logical_reads);
+      ("physical_reads", Int ex.io.Pager.physical_reads);
+      ("physical_writes", Int ex.io.Pager.physical_writes);
+      ("rows", Int (rows ex));
     ]
 
 (* The grid: 100 parts, SUPPLY scaling 500 -> 10000 rows.  Each transformed
@@ -684,110 +575,67 @@ let strategy_json ~name ~engine s =
    planner's hash paths are eligible at every scale; nested iteration is
    skipped at the largest scales where its quadratic page traffic dominates
    the whole run. *)
-let json_grid ~scales ~warmup ~reps () =
+let json_grid () =
   let buffer_pages = 1024 and page_bytes = 256 in
   let n_parts = 100 in
   List.concat_map
     (fun (kind, text) ->
       List.map
         (fun supply_per_part ->
-          let fresh () =
-            scaled ~buffer_pages ~page_bytes ~n_parts ~supply_per_part ()
+          let cell name ?mode engine strategy =
+            let db =
+              scaled ~buffer_pages ~page_bytes ~n_parts ~supply_per_part ()
+            in
+            strategy_json ~name ~engine:(Exec.Plan.engine_name engine)
+              (answered (run ?mode ~engine db strategy text))
           in
-          let run ?mode ?engine strategy =
-            answered (sampled ~warmup ~reps ?mode ?engine fresh strategy text)
-          in
+          let rewrite name mode engine = cell name ~mode engine transformed in
           let supply_rows = n_parts * supply_per_part in
-          let n = if supply_rows <= 2500 then Some (run nested) else None in
-          let rewrite mode engine = run ~mode ~engine transformed in
-          let paper = rewrite Planner.Paper1987 Exec.Plan.Tuple in
-          let paper_vec = rewrite Planner.Paper1987 Exec.Plan.Vectorized in
-          let hybrid = rewrite Planner.Hybrid Exec.Plan.Tuple in
-          let hybrid_vec = rewrite Planner.Hybrid Exec.Plan.Vectorized in
           let strategies =
-            (match n with
-            | Some r -> [ strategy_json ~name:"nested_iteration" ~engine:"tuple" r ]
-            | None -> [])
-            @ [
-                strategy_json ~name:"transformed_paper1987" ~engine:"tuple" paper;
-                strategy_json ~name:"transformed_paper1987" ~engine:"vectorized"
-                  paper_vec;
-                strategy_json ~name:"transformed_hybrid" ~engine:"tuple" hybrid;
-                strategy_json ~name:"transformed_hybrid" ~engine:"vectorized"
-                  hybrid_vec;
-              ]
+            (if supply_rows <= 2500 then
+               [ cell "nested_iteration" Exec.Plan.Tuple nested ]
+             else [])
+            @ List.concat_map
+                (fun (name, mode) ->
+                  [ rewrite name mode Exec.Plan.Tuple;
+                    rewrite name mode Exec.Plan.Vectorized ])
+                [ ("transformed_paper1987", Planner.Paper1987);
+                  ("transformed_hybrid", Planner.Hybrid) ]
           in
-          let hybrid_speedup = paper.wall /. hybrid.wall in
-          let vec_speedup = hybrid.wall /. hybrid_vec.wall in
-          ( kind,
-            supply_rows,
-            hybrid_speedup,
-            vec_speedup,
-            Json.Obj
-              [
-                ("query", Str kind);
-                ("n_parts", Int n_parts);
-                ("supply_rows", Int supply_rows);
-                ("buffer_pages", Int buffer_pages);
-                ("page_bytes", Int page_bytes);
-                ("timing", Obj
-                   [ ("warmup", Int warmup); ("reps", Int reps);
-                     ("stat", Str "median") ]);
-                ("strategies", List strategies);
-                ("hybrid_speedup_vs_paper", Float hybrid_speedup);
-                ("vectorized_speedup_vs_tuple", Float vec_speedup);
-              ] ))
-        scales)
+          Json.Obj
+            [
+              ("query", Str kind);
+              ("n_parts", Int n_parts);
+              ("supply_rows", Int supply_rows);
+              ("buffer_pages", Int buffer_pages);
+              ("page_bytes", Int page_bytes);
+              ("strategies", List strategies);
+            ])
+        [ 5; 10; 25; 50; 100 ])
     sweep_queries
 
-(* Pager page-touch microbench: a pool-resident file of B pages touched
-   uniformly at random.  Every touch is a hit, so the measured cost is pure
-   LRU maintenance — it must stay flat as B grows (O(1) hashtable + linked
-   list), where a list-based LRU degrades linearly. *)
-let json_pager_scaling () =
-  let touches = 200_000 in
-  let point buffer_pages =
-    let pager = Pager.create ~buffer_pages ~page_bytes:64 () in
-    let f = Pager.create_file pager in
-    for _ = 1 to buffer_pages do
-      Pager.append_page pager f [||]
-    done;
-    let rng = Random.State.make [| 7 |] in
-    let (), wall =
-      timed (fun () ->
-          for _ = 1 to touches do
-            ignore (Pager.read_page pager f (Random.State.int rng buffer_pages))
-          done)
-    in
-    (buffer_pages, wall *. 1e9 /. float_of_int touches)
-  in
-  let points = List.map point [ 16; 128; 1024; 8192 ] in
-  let ns = List.map snd points in
-  let flatness =
-    List.fold_left Float.max 0. ns /. List.fold_left Float.min infinity ns
-  in
-  ( flatness,
-    Json.Obj
-      [
-        ("touches", Int touches);
-        ( "points",
-          List
-            (List.map
-               (fun (b, ns) ->
-                 Json.Obj
-                   [ ("buffer_pages", Int b); ("ns_per_touch", Float ns) ])
-               points) );
-        ("flatness_max_over_min", Float flatness);
-      ] )
+(* EXPLAIN ANALYZE's [actual] objects minus their two clock fields, which
+   differ from run to run. *)
+let rec counters_only = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if k = "build_ms" || k = "total_ms" then None
+             else Some (k, counters_only v))
+           fields)
+  | List l -> List (List.map counters_only l)
+  | j -> j
 
 (* Per-operator breakdowns: one instrumented hybrid-mode run per query kind
    {e and per engine} (planner estimates via Optimizer.Estimate, actuals
    from the EXPLAIN ANALYZE observer — per-batch amortized under the
    vectorized engine), at a fixed mid-grid scale.  Each segment's "plan" is
-   the Exec.Explain.render_json tree. *)
-let json_operator_breakdowns ~supply_per_part () =
+   the Exec.Explain.render_json tree.  The only gated record of per-node
+   estimates. *)
+let json_operator_breakdowns () =
   let buffer_pages = 1024 and page_bytes = 256 in
-  let n_parts = 100 in
+  let n_parts = 100 and supply_per_part = 25 in
   List.concat_map
     (fun (kind, text) ->
       List.map
@@ -813,7 +661,7 @@ let json_operator_breakdowns ~supply_per_part () =
                        Json.Obj
                          [
                            ("label", Str s.Planner.seg_label);
-                           ("plan", s.Planner.seg_tree);
+                           ("plan", counters_only s.Planner.seg_tree);
                          ])
                      segs) );
             ])
@@ -822,16 +670,16 @@ let json_operator_breakdowns ~supply_per_part () =
 
 (* ---------------- batched vs nested vs rewrite -------------------------- *)
 
-(* v4: head-to-head wall-clock of the three strategies on duplicate-skewed
-   data — a small key range, so many outer rows share each distinct
-   correlation key; exactly the regime batching is built for and the
-   opposite of [scaled]'s unique keys — at 1k and 10k SUPPLY rows.  SUPPLY
-   carries 1% NULLs in every column.  The quantified type-JA cell is the
-   headline: SUPPLY.QUAN may be NULL, so Core refuses the §8 ALL rewrite's
-   COUNT form (it would accept rows SQL rejects), leaving batched as the
-   only optimizing strategy that answers.  The harness asserts batched
-   beats nested iteration on that refused cell (dedup makes it one inner
-   evaluation per distinct key instead of per outer row). *)
+(* The three strategies on duplicate-skewed data — a small key range, so
+   many outer rows share each distinct correlation key; exactly the regime
+   batching is built for and the opposite of [scaled]'s unique keys — at 1k
+   and 10k SUPPLY rows.  SUPPLY carries 1% NULLs in every column.  The
+   quantified type-JA cell is the headline: SUPPLY.QUAN may be NULL, so Core
+   refuses the §8 ALL rewrite's COUNT form (it would accept rows SQL
+   rejects), leaving batched as the only optimizing strategy that answers.
+   The harness asserts batched reads fewer pages than nested iteration on
+   that refused cell (dedup makes it one inner evaluation per distinct key
+   instead of per outer row). *)
 
 let skew_queries =
   [
@@ -849,11 +697,14 @@ type skew_cell = {
   sk_kind : string;
   sk_rows : int;
   refused : string option;  (** the rewrite's refusal reason *)
-  speedup : float;  (** nested wall / batched wall *)
+  nested_ex : Core.execution;
+  batched_ex : Core.execution;
   sk_json : Json.t;
 }
 
-let json_batched_comparison ~scales ~warmup ~reps () =
+let reads (ex : Core.execution) = ex.io.Pager.logical_reads
+
+let json_batched_comparison () =
   let n_parts = 500 and key_range = 10 in
   List.concat_map
     (fun n_supply ->
@@ -868,10 +719,9 @@ let json_batched_comparison ~scales ~warmup ~reps () =
       in
       List.map
         (fun (kind, text) ->
-          let run ?mode s = sampled ~warmup ~reps ?mode fresh s text in
+          let run ?mode s = run ?mode (fresh ()) s text in
           let n = answered (run nested) and b = answered (run batched) in
           let rewrite = run ~mode:Planner.Hybrid transformed in
-          let speedup = n.wall /. b.wall in
           let strategies =
             [
               strategy_json ~name:"nested_iteration" ~engine:"tuple" n;
@@ -890,7 +740,8 @@ let json_batched_comparison ~scales ~warmup ~reps () =
             sk_kind = kind;
             sk_rows = n_supply;
             refused;
-            speedup;
+            nested_ex = n;
+            batched_ex = b;
             sk_json =
               Json.Obj
                 [
@@ -900,11 +751,10 @@ let json_batched_comparison ~scales ~warmup ~reps () =
                   ("key_range", Int key_range);
                   ("rewrite_refused", Bool (Option.is_some refused));
                   ("strategies", List strategies);
-                  ("batched_speedup_vs_nested", Float speedup);
                 ];
           })
         skew_queries)
-    scales
+    [ 1_000; 10_000 ]
 
 (* The §7 crossover: a 10k-row SUPPLY with a B-tree on PNUM, outer size
    swept.  Small outers probe a handful of keys — un-transformed indexed
@@ -932,13 +782,13 @@ type crossover_cell = {
   kind : string;
   outer : int;
   picks_nested : bool;
-  indexed : sample;
-  unindexed : sample;
-  rewritten : sample;
+  indexed : Core.execution;
+  unindexed : Core.execution;
+  rewritten : Core.execution;
   json : Json.t;
 }
 
-let json_index_crossover ~outer_sizes ~warmup ~reps () =
+let json_index_crossover () =
   (* Sparse keys: SUPPLY's PNUM spread over [key_range] values, so each
      outer probe fetches ~supply_rows/key_range matches — the selective
      regime where an index pays.  (scaled_catalog's dense keys would make
@@ -961,7 +811,7 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
       db
     in
     let run ?mode ~indexed s =
-      answered (sampled ~warmup ~reps ?mode (fresh ~indexed) s text)
+      answered (run ?mode (fresh ~indexed ()) s text)
     in
     let indexed = run ~indexed:true nested in
     let unindexed = run ~indexed:false nested in
@@ -1000,121 +850,8 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
     { kind; outer = n_parts; picks_nested; indexed; unindexed; rewritten; json }
   in
   List.concat_map
-    (fun query -> List.map (cell query) outer_sizes)
+    (fun query -> List.map (cell query) [ 4; 16; 64; 256 ])
     crossover_queries
-
-(* Structural v5 schema check on the serialized document: every required
-   key must appear.  Substring-based — [Json.to_string] writes keys
-   verbatim with no whitespace, so this is exact enough to catch a key
-   rename or a dropped section. *)
-let validate_v5 doc =
-  let required =
-    [
-      "\"schema_version\":5";
-      "\"index_crossover\":";
-      "\"est_nested_cost\":";
-      "\"transformed_floor\":";
-      "\"picked\":\"nested\"";
-      "\"crossover_outer_rows\":";
-      "\"name\":\"indexed_nested\"";
-      "\"batched_comparison\":";
-      "\"name\":\"batched\"";
-      "\"batched_speedup_vs_nested\":";
-      "\"rewrite_refused\":true";
-      "\"key_range\":";
-      "\"queries\":";
-      "\"strategies\":";
-      "\"engine\":\"tuple\"";
-      "\"engine\":\"vectorized\"";
-      "\"timing\":";
-      "\"stat\":\"median\"";
-      "\"vectorized_speedup_vs_tuple\":";
-      "\"vectorized_speedup_10k\":";
-      "\"speedup_scale_supply_rows\":";
-      "\"hybrid_speedup_10k\":";
-      "\"pager_scaling\":";
-      "\"operator_breakdowns\":";
-      "\"rows_per_call\":";
-      "\"batches\":";
-    ]
-  in
-  let contains needle =
-    let nl = String.length needle and hl = String.length doc in
-    let rec go i =
-      i + nl <= hl && (String.sub doc i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  List.filter (fun k -> not (contains k)) required
-
-(* ROADMAP aim 1: deterministic counters are gated exactly.  Every smoke
-   cell is matched to the committed full run's cell of the same query and
-   size, and every strategy to the one of the same name and engine; they
-   must agree on rows and page counters, and crossover cells also on the
-   decision's estimates and pick.  Returns one line per difference. *)
-let counter_mismatches ~committed smoke =
-  let field k j = Option.value ~default:Json.Null (Json.member k j) in
-  let list k j = match field k j with Json.List l -> l | _ -> [] in
-  let show = Json.to_string in
-  let differ where keys now was =
-    List.filter_map
-      (fun k ->
-        if field k now = field k was then None
-        else
-          Some
-            (Printf.sprintf "%s %s: committed %s, now %s" where k
-               (show (field k was)) (show (field k now))))
-      keys
-  in
-  let strategy_key s = show (field "name" s) ^ "/" ^ show (field "engine" s) in
-  let gate (section, size, cells) =
-    List.concat_map
-      (fun cell ->
-        let key c = (field "query" c, field size c) in
-        let where =
-          Printf.sprintf "%s %s %s=%s" section
-            (show (field "query" cell)) size (show (field size cell))
-        in
-        match List.find_opt (fun c -> key c = key cell) (cells committed) with
-        | None -> [ where ^ ": no committed cell" ]
-        | Some was ->
-            let now_s = list "strategies" cell
-            and was_s = list "strategies" was in
-            differ where
-              [ "picked"; "est_nested_cost"; "transformed_floor" ]
-              cell was
-            @
-            if List.map strategy_key now_s <> List.map strategy_key was_s then
-              [ where ^ ": strategies differ" ]
-            else
-              List.concat
-                (List.map2
-                   (fun now was ->
-                     differ
-                       (where ^ " " ^ strategy_key now)
-                       [ "rows"; "logical_reads"; "physical_reads";
-                         "physical_writes" ]
-                       now was)
-                   now_s was_s))
-      (cells smoke)
-  in
-  List.concat_map gate
-    [
-      ("queries", "supply_rows", list "queries");
-      ("batched_comparison", "supply_rows", list "batched_comparison");
-      ( "index_crossover", "outer_rows",
-        fun j -> list "cells" (field "index_crossover" j) );
-    ]
-
-let read_json path =
-  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-  | Ok j -> j
-  | Error e ->
-      Fmt.epr "%s is not valid JSON: %s@." path e;
-      exit 1
-  | exception Sys_error e ->
-      Fmt.epr "cannot read %s: %s@." path e;
-      exit 1
 
 let fail lines =
   if lines <> [] then begin
@@ -1122,27 +859,12 @@ let fail lines =
     exit 1
   end
 
-let json_bench ~smoke () =
-  (* Smoke: one small scale, fewer reps — a CI-speed structural run of the
-     same code path; the full grid is the perf artifact. *)
-  let scales = if smoke then [ 5 ] else [ 5; 10; 25; 50; 100 ] in
-  let warmup = 1 in
-  let reps = if smoke then 3 else 9 in
-  let grid = json_grid ~scales ~warmup ~reps () in
-  let flatness, pager_json = json_pager_scaling () in
-  (* batched-vs-nested-vs-rewrite on duplicate-skewed keys; nested runs at
-     every scale here (500 outer rows keep it tractable at 10k) *)
-  let skew =
-    json_batched_comparison
-      ~scales:(if smoke then [ 1_000 ] else [ 1_000; 10_000 ])
-      ~warmup ~reps:(min reps 3) ()
-  in
-  (* the §7 index crossover: outer size swept against a fixed 10k SUPPLY *)
-  let crossover =
-    json_index_crossover
-      ~outer_sizes:(if smoke then [ 4; 64 ] else [ 4; 16; 64; 256 ])
-      ~warmup ~reps:(min reps 3) ()
-  in
+(* The whole document, after the strategy assertions have passed — so a
+   regeneration cannot bake in a regression. *)
+let perf_doc () =
+  let grid = json_grid () in
+  let skew = json_batched_comparison () in
+  let crossover = json_index_crossover () in
   (* smallest outer size at which the estimates flip to transformed *)
   let crossover_point kind =
     List.fold_left
@@ -1152,85 +874,10 @@ let json_bench ~smoke () =
         else acc)
       None crossover
   in
-  (* Headline numbers at the largest scale of this run (10k supply rows on
-     the full grid): hybrid-vs-paper, and vectorized-vs-tuple on the hybrid
-     plans. *)
-  let top_scale =
-    List.fold_left (fun m (_, rows, _, _, _) -> max m rows) 0 grid
-  in
-  let at_top f =
-    List.filter_map
-      (fun (kind, supply_rows, hybrid_speedup, vec_speedup, _) ->
-        if supply_rows = top_scale then
-          Some (kind, Json.Float (f hybrid_speedup vec_speedup))
-        else None)
-      grid
-  in
-  let doc =
-    Json.Obj
-      [
-        (* v5: adds "index_crossover" — indexed vs unindexed nested
-           iteration vs the hybrid rewrite with a B-tree on SUPPLY.PNUM,
-           outer size swept; per-cell cost-model verdict
-           ("est_nested_cost" / "transformed_floor" / "picked", all read
-           from Core.decide's indexed rung) and the headline
-           "crossover_outer_rows" where the estimate flips to
-           transformed.  v4 keys unchanged: "batched_comparison" — the
-           three-strategy head-to-head on duplicate-skewed keys, with
-           per-cell "rewrite_refused" and "batched_speedup_vs_nested";
-           every transformed cell runs under both engines ("engine"
-           field), timing is median-of-k with warm-up ("timing" object),
-           per-cell "vectorized_speedup_vs_tuple", headline
-           "vectorized_speedup_10k", operator_breakdowns one entry per
-           (query, engine). *)
-        ("schema_version", Int 5);
-        ("speedup_scale_supply_rows", Int top_scale);
-        ("queries", List (List.map (fun (_, _, _, _, j) -> j) grid));
-        ("batched_comparison", List (List.map (fun c -> c.sk_json) skew));
-        ( "index_crossover",
-          Obj
-            [
-              ("cells", List (List.map (fun c -> c.json) crossover));
-              ( "crossover_outer_rows",
-                Obj
-                  (List.map
-                     (fun (kind, _) ->
-                       ( kind,
-                         match crossover_point kind with
-                         | Some n -> Json.Int n
-                         | None -> Null ))
-                     crossover_queries) );
-            ] );
-        ("pager_scaling", pager_json);
-        ("hybrid_speedup_10k", Obj (at_top (fun h _ -> h)));
-        ("vectorized_speedup_10k", Obj (at_top (fun _ v -> v)));
-        ( "operator_breakdowns",
-          List
-            (json_operator_breakdowns
-               ~supply_per_part:(if smoke then 5 else 25)
-               ()) );
-      ]
-  in
-  let path = if smoke then "BENCH_perf.smoke.json" else "BENCH_perf.json" in
-  let doc = Json.to_string doc in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc doc;
-      Out_channel.output_char oc '\n');
-  (* The written file must parse as JSON before any key check runs. *)
-  let written = read_json path in
-  List.iter
-    (fun (kind, rows, hybrid_speedup, vec_speedup, _) ->
-      Fmt.pr
-        "%-8s %6d supply rows: hybrid %.2fx vs paper; vectorized %.2fx vs \
-         tuple@."
-        kind rows hybrid_speedup vec_speedup)
-    grid;
-  Fmt.pr "pager page-touch flatness (max/min ns over B=16..8192): %.2f@."
-    flatness;
   List.iter
     (fun c ->
-      Fmt.pr "%-22s %6d supply rows: batched %.2fx vs nested%s@." c.sk_kind
-        c.sk_rows c.speedup
+      Fmt.pr "%-22s %6d supply rows: logical reads batched %d / nested %d%s@."
+        c.sk_kind c.sk_rows (reads c.batched_ex) (reads c.nested_ex)
         (match c.refused with
         | Some msg -> " (rewrite refused: " ^ msg ^ ")"
         | None -> ""))
@@ -1252,23 +899,24 @@ let json_bench ~smoke () =
         | Some n -> string_of_int n
         | None -> "(none in sweep)"))
     crossover_queries;
-  Fmt.pr "wrote %s@." path;
-  (* The refused cell is batching's reason to exist: if it is not faster
-     than row-at-a-time nested iteration on skewed keys, the strategy (or
-     its dedup) has regressed. *)
+  (* The refused cell is batching's reason to exist: if it does not read
+     fewer pages than row-at-a-time nested iteration on skewed keys, the
+     strategy (or its dedup) has regressed.  Logical reads, because at 1k
+     rows both sides are pool-resident and do no physical I/O. *)
   fail
     (List.filter_map
        (fun c ->
-         if Option.is_some c.refused && not (c.speedup > 1.) then
+         if Option.is_some c.refused && reads c.batched_ex >= reads c.nested_ex
+         then
            Some
              (Printf.sprintf
                 "batched does NOT beat nested on refused cell %s at %d \
-                 supply rows (%.2fx)"
-                c.sk_kind c.sk_rows c.speedup)
+                 supply rows (logical reads %d vs %d)"
+                c.sk_kind c.sk_rows (reads c.batched_ex) (reads c.nested_ex))
          else None)
        skew);
   (* Index assertions: the probe must pay off (indexed nested beats the
-     unindexed enumeration on physical I/O at every cell), the §7 decision
+     unindexed enumeration on page I/O at every cell), the §7 decision
      must be sound (whenever the estimate picks nested, measured I/O must
      agree), and the sweep must contain at least one cell where the
      untransformed indexed iteration is the chosen strategy — the regime
@@ -1276,8 +924,7 @@ let json_bench ~smoke () =
   fail
     (List.filter_map
        (fun c ->
-         let probe_pays = io c.indexed < io c.unindexed in
-         if not probe_pays then
+         if io c.indexed >= io c.unindexed then
            Some
              (Printf.sprintf
                 "index crossover cell %s at %d outer rows FAILED (indexed \
@@ -1295,14 +942,89 @@ let json_bench ~smoke () =
     fail
       [ "no crossover cell picks indexed nested iteration — the §7 regime \
          is gone" ];
-  (match validate_v5 doc with
-  | [] -> Fmt.pr "schema v5 check: ok@."
-  | missing ->
-      fail ("schema v5 check FAILED; missing keys:"
-            :: List.map (fun k -> "  " ^ k) missing));
-  if smoke then begin
-    fail (counter_mismatches ~committed:(read_json "BENCH_perf.json") written);
-    Fmt.pr "counters equal BENCH_perf.json: ok@."
+  Json.Obj
+    [
+      (* v6: counters, estimates and picks only — no clock readings, so
+         two runs build the same document. *)
+      ("schema_version", Int 6);
+      ("queries", List grid);
+      ("batched_comparison", List (List.map (fun c -> c.sk_json) skew));
+      ( "index_crossover",
+        Obj
+          [
+            ("cells", List (List.map (fun c -> c.json) crossover));
+            ( "crossover_outer_rows",
+              Obj
+                (List.map
+                   (fun (kind, _) ->
+                     ( kind,
+                       match crossover_point kind with
+                       | Some n -> Json.Int n
+                       | None -> Null ))
+                   crossover_queries) );
+          ] );
+      ("operator_breakdowns", List (json_operator_breakdowns ()));
+    ]
+
+(* One line per JSON path at which [now] and [was] differ. *)
+let rec json_diff path now was =
+  let at sep k = if path = "" then k else path ^ sep ^ k in
+  match (now, was) with
+  | Json.Obj now, Json.Obj was ->
+      List.concat_map
+        (fun (k, v) ->
+          match List.assoc_opt k was with
+          | Some w -> json_diff (at "." k) v w
+          | None -> [ at "." k ^ ": not in the committed file" ])
+        now
+      @ List.filter_map
+          (fun (k, _) ->
+            if List.mem_assoc k now then None
+            else Some (at "." k ^ ": in the committed file, not built"))
+          was
+  | List now, List was ->
+      let rec go i now was =
+        let p = Printf.sprintf "%s[%d]" path i in
+        match (now, was) with
+        | [], [] -> []
+        | _ :: now, [] -> (p ^ ": not in the committed file") :: go (i + 1) now []
+        | [], _ :: was ->
+            (p ^ ": in the committed file, not built") :: go (i + 1) [] was
+        | v :: now, w :: was -> json_diff p v w @ go (i + 1) now was
+      in
+      go 0 now was
+  | _ when now = was -> []
+  | _ ->
+      [ Printf.sprintf "%s: committed %s, now %s" path (Json.to_string was)
+          (Json.to_string now) ]
+
+let read_json path =
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok j -> j
+  | Error e ->
+      Fmt.epr "%s is not valid JSON: %s@." path e;
+      exit 1
+  | exception Sys_error e ->
+      Fmt.epr "cannot read %s: %s@." path e;
+      exit 1
+
+let path = "BENCH_perf.json"
+
+(* [--json] writes the document; [--check] requires it to equal the
+   committed file, compared after a print/parse round trip because floats
+   print at 12 significant digits. *)
+let json_bench ~check () =
+  let doc = Json.to_string (perf_doc ()) in
+  if check then begin
+    let now = Result.get_ok (Json.parse doc) in
+    fail (json_diff "" now (read_json path));
+    Fmt.pr "equal to %s: ok@." path
+  end
+  else begin
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc doc;
+        Out_channel.output_char oc '\n');
+    Fmt.pr "wrote %s@." path
   end
 
 (* ---------------- driver ------------------------------------------------ *)
@@ -1312,13 +1034,13 @@ let sections =
     ("fig1", fig1); ("sec74", sec74); ("bugs", bugs); ("figure2", figure2);
     ("sweep", sweep); ("ext", ext); ("strategies", strategies);
     ("buffers", buffers); ("indexes", indexes); ("projection", projection);
-    ("model", model); ("vec", vec); ("timing", timing);
+    ("model", model);
   ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--json" args then json_bench ~smoke:false ()
-  else if List.mem "--smoke" args then json_bench ~smoke:true ()
+  if List.mem "--json" args then json_bench ~check:false ()
+  else if List.mem "--check" args then json_bench ~check:true ()
   else
   let requested = if args <> [] then args else List.map fst sections in
   List.iter

@@ -941,10 +941,12 @@ let cmds =
      let engine_opt =
        let doc = "Execution engine for -e queries: tuple or vectorized." in
        Arg.(
-         value & opt (some string) None & info [ "e-engine"; "engine" ] ~docv:"ENGINE" ~doc)
+         value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
      in
      let strategy_opt =
-       let doc = "Strategy for -e queries: auto, nested or transformed." in
+       let doc =
+         "Strategy for -e queries: auto, nested, transformed or batched."
+       in
        Arg.(
          value & opt (some string) None & info [ "s"; "strategy" ] ~docv:"S" ~doc)
      in
