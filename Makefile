@@ -23,10 +23,8 @@ lint:
 
 # Semantic checker over the whole example corpus (docs/LINT.md): every
 # query file and every shrunk regression repro goes through `nestsql
-# check` — typed plan validation of the transformed program (NQ110-NQ115)
-# plus the bounded counterexample search at k=2 (NQ120-NQ122).  Exits
-# non-zero on any Error-severity diagnostic, i.e. on a plan-contract
-# violation or a refuted rewrite.
+# check` — the bounded counterexample search at k=2 (NQ120-NQ122).  Exits
+# non-zero on any Error-severity diagnostic, i.e. on a refuted rewrite.
 check-corpus:
 	dune build bin/nestsql.exe
 	for f in examples/queries/*.sql examples/queries/regressions/*.sql; do \
@@ -36,8 +34,9 @@ check-corpus:
 
 # Differential oracle smoke run (docs/ORACLE.md): fixed seed, 500 random
 # nested queries, each through the full 54-cell candidate matrix (rewrite,
-# batched, Auto and index-axis columns, both execution engines) and the
-# static checker (--check), plus a replay of the shrunk regression corpus.
+# batched, Auto and index-axis columns, both execution engines) and once
+# through the bounded-equivalence checker (--check), plus a replay of the
+# shrunk regression corpus.
 # Exits non-zero on any discrepancy, and on a refusal-count regression:
 # seed 42 x 500 refuses exactly 670 candidate cells today (soundness
 # guards + the unbatchable shape, including the indexed-rewrite cells'

@@ -292,6 +292,13 @@ let severity_gate = function
           diags
   | other -> die ("unknown severity threshold " ^ other ^ " (want error or warning)")
 
+let severity =
+  let doc =
+    "Exit-1 threshold: error (default) fails only on error-severity \
+     diagnostics; warning also fails on warnings."
+  in
+  Arg.(value & opt string "error" & info [ "severity" ] ~docv:"LEVEL" ~doc)
+
 let lint_cmd load_dir fixture tables buffer_pages page_bytes indexes json severity file
     =
   let gate = severity_gate severity in
@@ -795,13 +802,6 @@ let cmds =
        in
        Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
      in
-     let severity =
-       let doc =
-         "Exit-1 threshold: error (default) fails only on error-severity \
-          diagnostics; warning also fails on warnings."
-       in
-       Arg.(value & opt string "error" & info [ "severity" ] ~docv:"LEVEL" ~doc)
-     in
      cmd "lint"
        "Lint nested queries: Kim classification cross-check, the paper's \
         bug-class warnings (NQ001-NQ003), hygiene checks, and structural \
@@ -813,13 +813,6 @@ let cmds =
          "Emit the report as one JSON object (schema in docs/LINT.md)."
        in
        Arg.(value & flag & info [ "json" ] ~doc)
-     in
-     let severity =
-       let doc =
-         "Exit-1 threshold: error (default) fails only on error-severity \
-          diagnostics; warning also fails on warnings."
-       in
-       Arg.(value & opt string "error" & info [ "severity" ] ~docv:"LEVEL" ~doc)
      in
      let bound =
        let doc =
@@ -838,11 +831,10 @@ let cmds =
        Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
      in
      cmd "check"
-       "Semantic checker: lower each query's transformed program and \
-        type-check every physical plan (NQ110-NQ115), then search for a \
-        bounded counterexample to the rewrite (NQ120-NQ122), printing a \
-        bounded-equivalence certificate or a replayable witness database. \
-        Exits 1 past the --severity threshold."
+       "Semantic checker: search for a bounded counterexample to each \
+        query's rewrite (NQ120-NQ122), printing a bounded-equivalence \
+        certificate or a replayable witness database.  Exits 1 past the \
+        --severity threshold."
        Term.(common (const check_cmd) $ json $ severity $ bound $ file));
     (let seed =
        let doc = "Random seed (the same seed reproduces the same run)." in
@@ -884,10 +876,9 @@ let cmds =
      in
      let check =
        let doc =
-         "Also run the static checker over every generated case: typed \
-          plan validation plus the bounded counterexample search at k=2; \
-          an error-severity finding counts as a discrepancy even when all \
-          matrix cells agree."
+         "Also run the static checker over every generated case: the \
+          bounded counterexample search at k=2; an error-severity finding \
+          counts as a discrepancy even when all matrix cells agree."
        in
        Arg.(value & flag & info [ "check" ] ~doc)
      in

@@ -8,7 +8,7 @@
 -- warning NQ001 (count-bug-susceptible); NEST-JA2's outer join makes
 -- their rewrites correct.
 -- Under the auto join choice each rewrite's grouped temporary is a
--- BandAgg (one pass over the inner), which `nestsql check` type-checks.
+-- BandAgg (one pass over the inner); `nestsql check` certifies each rewrite.
 
 -- Q5: MAX under <.
 SELECT PNUM FROM PARTS WHERE QOH =

@@ -65,26 +65,6 @@ let catalogue : (string * string * severity * string) list =
     ( "NQ100", "syntax-error", Error, "the query does not parse" );
     ( "NQ101", "resolution-error", Error,
       "name resolution or typing failed (analyzer diagnostic)" );
-    ( "NQ110", "plan-unresolved", Error,
-      "a physical plan node references a table or column its input does \
-       not provide, or carries a predicate the executor cannot compile" );
-    ( "NQ111", "plan-type-mismatch", Error,
-      "a physical plan predicate or join condition compares columns of \
-       incompatible types" );
-    ( "NQ112", "plan-nullability", Error,
-      "null-provenance violation: COUNT above a preserving (left outer) \
-       join counts a column padding can never make NULL, so empty groups \
-       count 1 instead of 0 (sec. 5.2.1)" );
-    ( "NQ113", "plan-group-scoping", Error,
-      "a grouped plan operator's keys or aggregate arguments do not \
-       resolve in its input, or its aggregate output names collide" );
-    ( "NQ114", "plan-sort-contract", Error,
-      "an operator that requires sorted input (sorted GROUP BY, merge \
-       join) sits on input provably sorted on different columns" );
-    ( "NQ115", "plan-operator-contract", Error,
-      "a physical operator's method contract is violated (merge/hash join \
-       without an equality condition, index join without an index or a \
-       base-table scan)" );
     ( "NQ120", "rewrite-not-equivalent", Error,
       "bounded counterexample search found a database on which the \
        transformed program disagrees with the original query" );

@@ -184,14 +184,13 @@ let lint_query db text : Analysis.Diagnostics.t list =
   Analysis.Diagnostics.sort (base @ verify_diags)
 
 (* ------------------------------------------------------------------ *)
-(* Semantic checking (plan validation + bounded equivalence)           *)
+(* Semantic checking (bounded equivalence)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One query through both checker passes: lower the transformed program
-   and type-check every physical plan (NQ110-NQ115), then search for a
-   bounded counterexample to the rewrite (NQ120-NQ122).  A query the
-   transformation refuses yields an empty report — there is no rewrite to
-   falsify, and the refusal itself is the lint layer's business. *)
+(* One query through the checker: search for a bounded counterexample to
+   the rewrite (NQ120-NQ122).  A query the transformation refuses yields
+   an empty report — there is no rewrite to falsify, and the refusal
+   itself is the lint layer's business. *)
 type check_report = {
   ck_sql : string;  (* canonical rendering of the checked query *)
   ck_refused : string option;  (* transformation refusal, when any *)
@@ -225,7 +224,6 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
         ck_repro = None;
       }
   | Ok program ->
-      let plan_diags = Optimizer.Planner.check_program db.catalog program in
       let verdict = equivalence ~bound db q program in
       let repro =
         match verdict with
@@ -238,8 +236,7 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
         ck_refused = None;
         ck_diags =
           Analysis.Diagnostics.sort
-            (plan_diags
-            @ Analysis.Equiv_check.diagnostics ~span:q.Sql.Ast.span verdict);
+            (Analysis.Equiv_check.diagnostics ~span:q.Sql.Ast.span verdict);
         ck_verdict = Some verdict;
         ck_certificate = Some (Analysis.Equiv_check.certificate verdict);
         ck_repro = repro;
@@ -488,7 +485,7 @@ let force_of = function
   | Transformed force | Batched force -> force
   | Auto | Nested_iteration -> Optimizer.Planner.Auto
 
-let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
+let run_prepared ?(strategy = Auto) ?mode ?engine ?trace db
     (p : prepared) : (execution, string) result =
   let q = p.query in
   let force = force_of strategy in
@@ -520,7 +517,7 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
     | Transformed_rung ->
         let program = Result.get_ok (Lazy.force p.program) in
         let result =
-          Optimizer.Planner.run_program ~force ?mode ~check ?engine ?session
+          Optimizer.Planner.run_program ~force ?mode ?engine ?session
             db.catalog program
         in
         (* ORDER BY is presentation, not plan structure: the nested paths
@@ -532,11 +529,11 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
   in
   snd (climb ~all:false db p strategy execute)
 
-let run ?strategy ?check ?rewrite_not_in ?mode ?engine ?trace db text :
+let run ?strategy ?rewrite_not_in ?mode ?engine ?trace db text :
     (execution, string) result =
   match prepare ?rewrite_not_in db text with
   | Error _ as e -> e
-  | Ok p -> run_prepared ?strategy ?check ?mode ?engine ?trace db p
+  | Ok p -> run_prepared ?strategy ?mode ?engine ?trace db p
 
 (* Convenience: the relation only. *)
 let query db text : (Relation.t, string) result =

@@ -91,8 +91,7 @@ type check_report = {
       (** the transformation refusal message, when the query has no rewrite
           to check *)
   ck_diags : Analysis.Diagnostics.t list;
-      (** plan-validation (NQ110–NQ115) and equivalence (NQ120–NQ122)
-          diagnostics, sorted *)
+      (** equivalence (NQ120–NQ122) diagnostics, sorted *)
   ck_verdict : Analysis.Equiv_check.verdict option;
   ck_certificate : string option;
       (** one-line bounded-equivalence certificate *)
@@ -203,7 +202,6 @@ val decide : db -> prepared -> strategy -> decision
     engines under the oracle comparator. *)
 val run_prepared :
   ?strategy:strategy ->
-  ?check:bool ->
   ?mode:Optimizer.Planner.mode ->
   ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
@@ -219,12 +217,9 @@ val run_prepared :
     as {!transform} and {!Optimizer.Planner.run_program} do (the
     differential oracle sweeps them).  [engine] selects tuple-at-a-time
     (default) or vectorized batch execution for plan-based paths; nested
-    iteration is tuple-only and ignores it.  [check] additionally
-    type-checks every lowered physical plan ({!Analysis.Plan_check})
-    before it executes and refuses on any violation. *)
+    iteration is tuple-only and ignores it. *)
 val run :
   ?strategy:strategy ->
-  ?check:bool ->
   ?rewrite_not_in:bool ->
   ?mode:Optimizer.Planner.mode ->
   ?engine:Exec.Plan.engine ->

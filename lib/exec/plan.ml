@@ -329,7 +329,15 @@ let band_parts (lschema : Schema.t) (rschema : Schema.t) ~cond ~group_by ~aggs
   let agg_specs =
     List.map
       (fun { fn; _ } ->
-        { Iterator.fn; arg = Option.map (find_col rschema) (agg_arg fn) })
+        let arg = Option.map (find_col rschema) (agg_arg fn) in
+        (match (fn, arg) with
+        | (Sum _ | Avg _), Some i
+          when (Schema.column rschema i).ty <> Value.Tint ->
+            errf "band aggregate: %a over %s; band sums take Int only"
+              Sql.Pp.pp_agg fn
+              (Value.type_name (Schema.column rschema i).ty)
+        | _ -> ());
+        { Iterator.fn; arg })
       aggs
   in
   (eq, (left_col bl, op, find_col rschema br), group_key, agg_specs)
@@ -513,7 +521,13 @@ and execute_vec_node ?observe ?heaps ~on_pass (catalog : Catalog.t)
       Vec.with_schema v (Schema.rename_rel v.Vec.schema alias)
   | Filter (preds, input) ->
       let v = execute_vec ?observe ?heaps catalog input in
-      Vec.filter ~pred:(Vec.compile_conjunction v.Vec.schema preds) v
+      (* Vec refuses a non-flat predicate with [Invalid_argument]; surface
+         it as the same [Plan_error] the tuple engine raises. *)
+      let pred =
+        try Vec.compile_conjunction v.Vec.schema preds
+        with Invalid_argument why -> errf "%s" why
+      in
+      Vec.filter ~pred v
   | Project (cols, Join { method_ = Hash; kind; cond; residual; left; right })
     when observe = None ->
       (* Late materialization: fuse the projection into the hash join's

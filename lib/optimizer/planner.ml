@@ -824,20 +824,9 @@ let verify_program catalog (p : Program.t) : Analysis.Diagnostics.t list =
     ~temps:(List.map (fun { Program.name; def } -> (name, def)) p.temps)
     ~main:p.main
 
-(* Typed validation of a lowered plan (NQ110-NQ115) — the per-segment half
-   of [~check]; an Error-severity violation refuses the plan before it
-   runs, exactly as [~verify] refuses a structurally broken program. *)
 let errors_only =
   List.filter (fun (d : Analysis.Diagnostics.t) ->
       d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-
-let check_plan ~engine ~label catalog plan =
-  let diags = Analysis.Plan_check.check_catalog ~engine catalog plan in
-  match errors_only diags with
-  | [] -> ()
-  | violations ->
-      errf "%s failed plan check:\n%s" label
-        (Analysis.Diagnostics.list_to_string violations)
 
 (* The refusal a structurally broken program earns (Error-severity
    NQ900-NQ906 findings), or [None] when it verifies. *)
@@ -854,11 +843,9 @@ let verification_failure catalog p =
    them — the paper's tables show TEMP contents — and drop them with
    [drop_temps]).  With [~verify:true] the program is structurally
    verified first and refused ([Planning_error]) on any violation, so a
-   bad transformation can never silently produce a wrong answer.  With
-   [~check:true] every lowered plan is additionally type-checked
-   ([Analysis.Plan_check], NQ110-NQ115) before it executes. *)
+   bad transformation can never silently produce a wrong answer. *)
 let run_program ?(force = Auto) ?(mode = Paper1987) ?(verify = false)
-    ?(check = false) ?(engine = Exec.Plan.Tuple) ?session catalog
+    ?(engine = Exec.Plan.Tuple) ?session catalog
     (p : Program.t) : Relation.t =
   (if verify then
      Option.iter (fun msg -> raise (Planning_error msg))
@@ -866,48 +853,11 @@ let run_program ?(force = Auto) ?(mode = Paper1987) ?(verify = false)
   List.iter
     (fun ({ Program.name; def } : Program.temp) ->
       let { plan; out_sorted } = lower ~force ~mode catalog def in
-      if check then check_plan ~engine ~label:("temp " ^ name) catalog plan;
       register_temp_result catalog name def out_sorted
         (run_plan ~engine ?session catalog plan))
     p.temps;
   let { plan; _ } = lower ~force ~mode catalog p.main in
-  if check then check_plan ~engine ~label:"main plan" catalog plan;
   run_plan ~engine ?session catalog plan
-
-(* Validate every plan of a program without executing anything: each temp
-   is lowered, type-checked and registered as an *empty* relation of its
-   output schema (later segments must lower and resolve against it), then
-   dropped.  Returns every violation; [] means the whole pipeline
-   type-checks. *)
-let check_program ?(force = Auto) ?(mode = Paper1987)
-    ?(engine = Exec.Plan.Tuple) catalog (p : Program.t) :
-    Analysis.Diagnostics.t list =
-  let diags = ref [] in
-  let registered = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun name -> Catalog.drop catalog name) !registered)
-  @@ fun () ->
-  List.iter
-    (fun ({ Program.name; def } : Program.temp) ->
-      let { plan; out_sorted } = lower ~force ~mode catalog def in
-      diags := !diags @ Analysis.Plan_check.check_catalog ~engine catalog plan;
-      let names = Program.output_column_names def in
-      let out_schema = Exec.Plan.output_schema catalog plan in
-      let schema =
-        Schema.of_columns ~rel:name
-          (List.map2
-             (fun n (c : Schema.column) -> (n, c.ty))
-             names
-             (Schema.columns out_schema))
-      in
-      Catalog.register_relation ?sorted_on:out_sorted catalog name
-        (Relation.make schema []);
-      registered := name :: !registered)
-    p.temps;
-  let { plan; _ } = lower ~force ~mode catalog p.main in
-  diags := !diags @ Analysis.Plan_check.check_catalog ~engine catalog plan;
-  !diags
 
 let drop_temps catalog (p : Program.t) =
   List.iter (fun { Program.name; _ } -> Catalog.drop catalog name) p.temps

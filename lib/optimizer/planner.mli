@@ -95,33 +95,16 @@ val verification_failure : Storage.Catalog.t -> Program.t -> string option
     {!drop_temps}.  [engine] and [session] as in {!materialize_temp}.  With
     [~verify:true] the program is checked with {!verify_program} first and
     refused with [Planning_error] on any Error-severity violation, so a bad
-    transformation can never silently produce a wrong answer.  With
-    [~check:true] every lowered physical plan is additionally type-checked
-    ({!Analysis.Plan_check}, NQ110–NQ115) immediately before it executes
-    and refused the same way. *)
+    transformation can never silently produce a wrong answer. *)
 val run_program :
   ?force:join_choice ->
   ?mode:mode ->
   ?verify:bool ->
-  ?check:bool ->
   ?engine:Exec.Plan.engine ->
   ?session:Exec.Explain.session ->
   Storage.Catalog.t ->
   Program.t ->
   Relalg.Relation.t
-
-(** Type-check every physical plan of a program ({!Analysis.Plan_check})
-    without executing anything: temps are lowered and registered as empty
-    relations of their output schemas so later segments plan against real
-    names, then dropped.  [[]] means the whole lowered pipeline checks
-    clean. *)
-val check_program :
-  ?force:join_choice ->
-  ?mode:mode ->
-  ?engine:Exec.Plan.engine ->
-  Storage.Catalog.t ->
-  Program.t ->
-  Analysis.Diagnostics.t list
 
 val drop_temps : Storage.Catalog.t -> Program.t -> unit
 

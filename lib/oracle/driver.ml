@@ -35,11 +35,10 @@ let fails case =
 let shrunk case = Shrink.minimize ~still_fails:fails case
 
 (* Static cross-check of a generated case: the bounded counterexample
-   search over the case's own query (Analysis.Equiv_check at k=2) plus the
-   plan checker, via [Core.check_query].  Any Error diagnostic — a
-   counterexample to a guard-accepted rewrite, or an ill-typed plan — is a
-   bug in its own right even when every matrix cell agreed, so it comes
-   back as a discrepancy line. *)
+   search over the case's own query (Analysis.Equiv_check at k=2, via
+   [Core.check_query]).  An Error diagnostic — a counterexample to a
+   guard-accepted rewrite — is a bug in its own right even when every
+   matrix cell agreed, so it comes back as a discrepancy line. *)
 let static_check_details (case : Repro.case) : string list =
   let db = Repro.build_db case in
   match Core.parse db case.Repro.sql with

@@ -20,10 +20,10 @@ type report = {
 (** Does any matrix cell disagree on [case]?  (The shrinker's predicate.) *)
 val fails : Repro.case -> bool
 
-(** [check] runs the static checker ([Core.check_query]: plan validation
-    plus the bounded counterexample search at k=2) over every generated
-    case; an Error-severity diagnostic counts as a discrepancy even when
-    all matrix cells agree. *)
+(** [check] runs the static checker ([Core.check_query]: the bounded
+    counterexample search at k=2) over every generated case; an
+    Error-severity diagnostic counts as a discrepancy even when all matrix
+    cells agree. *)
 val run :
   ?log:(string -> unit) ->
   ?check:bool ->

@@ -218,11 +218,6 @@ let run_reference (case : Repro.case) : (Relation.t, string) Stdlib.result =
       | rel -> Ok (Exec.Presentation.apply_order q rel)
       | exception Exec.Nested_iter.Runtime_error msg -> Error msg)
 
-(* Each candidate runs against its own freshly loaded database: a failed
-   program can leave temps behind, and pager/statistics state must not
-   leak between grid cells.  [check] additionally type-checks every
-   lowered physical plan (Analysis.Plan_check via Core) before it runs —
-   a violation surfaces as a Failed cell, never a silent wrong answer. *)
 (* For the index-axis cells: a B-tree on every column of every table (the
    most adversarial inventory — every probe/access-path opportunity is
    taken; duplicate column names within a table cannot occur in generated
@@ -241,7 +236,10 @@ let index_everything db =
             (Relalg.Schema.columns schema))
     (Storage.Catalog.table_names catalog)
 
-let run_candidate ?(check = false) (case : Repro.case) candidate :
+(* Each candidate runs against its own freshly loaded database: a failed
+   program can leave temps behind, and pager/statistics state must not
+   leak between grid cells. *)
+let run_candidate (case : Repro.case) candidate :
     (Relation.t, string) Stdlib.result =
   let db = Repro.build_db case in
   (match candidate with
@@ -266,12 +264,12 @@ let run_candidate ?(check = false) (case : Repro.case) candidate :
     | Indexed_rewrite { mode } | Indexed_auto { mode } ->
         (false, Some mode, None)
   in
-  match Core.run ~strategy ~check ~rewrite_not_in ?mode ?engine db case.sql with
+  match Core.run ~strategy ~rewrite_not_in ?mode ?engine db case.sql with
   | Ok e -> Ok e.Core.result
   | Error _ as e -> e
   | exception Exec.Nested_iter.Runtime_error msg -> Error ("runtime: " ^ msg)
 
-let run_case ?(candidates = all_candidates) ?check (case : Repro.case) :
+let run_case ?(candidates = all_candidates) (case : Repro.case) :
     result =
   match run_reference case with
   | Error _ as reference -> { reference; outcomes = [] }
@@ -286,7 +284,7 @@ let run_case ?(candidates = all_candidates) ?check (case : Repro.case) :
         List.map
           (fun candidate ->
             let verdict =
-              match run_candidate ?check case candidate with
+              match run_candidate case candidate with
               | Ok got ->
                   if results_agree ~q ~reference ~got then Agree
                   else Mismatch { expected = reference; got }

@@ -76,10 +76,7 @@ val results_agree :
 
 val run_reference : Repro.case -> (Relalg.Relation.t, string) Stdlib.result
 
-(** [check] additionally type-checks every lowered physical plan
-    ({!Analysis.Plan_check} via [Core.run ~check]) in every cell; a
-    violation becomes a [Failed] cell. *)
-val run_case : ?candidates:candidate list -> ?check:bool -> Repro.case -> result
+val run_case : ?candidates:candidate list -> Repro.case -> result
 
 (** The outcomes that count as bugs (mismatches and failures). *)
 val discrepancies : result -> outcome list

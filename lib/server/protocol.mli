@@ -60,8 +60,8 @@ type request =
   | Execute of { name : string }
   | Explain of { sql : string; analyze : bool; knobs : knobs }
   | Lint of { sql : string; check : bool }
-      (** [check] additionally runs the semantic checker (plan validation
-          + bounded equivalence search) over each query *)
+      (** [check] additionally runs the semantic checker (the bounded
+          equivalence search) over each query *)
   | Load of {
       table : string;
       columns : (string * Relalg.Value.ty) list;

@@ -272,9 +272,9 @@ let do_explain t ~knobs ~analyze sql =
 
 let do_lint t ~check sql =
   let lint_diags = Core.lint_query t.db sql in
-  (* With [check], the semantic checker rides along: plan validation and
-     the bounded counterexample search per query, its diagnostics merged
-     into the same list and its per-query certificates reported. *)
+  (* With [check], the semantic checker rides along: the bounded
+     counterexample search per query, its diagnostics merged into the same
+     list and its per-query certificates reported. *)
   let check_diags, certificates =
     if not check then ([], [])
     else

@@ -1,15 +1,13 @@
-(* The semantic checker: typed plan validation (Plan_check over hand-built
-   violating plans and over everything the planner emits) and the bounded
-   counterexample search (Equiv_check certifies every guarded rewrite and
-   refutes Kim's buggy NEST-JA on Q2 with a replayable one-row witness). *)
+(* The semantic checker: diagnostics rendering and ordering, and the
+   bounded counterexample search (Equiv_check certifies every guarded
+   rewrite and refutes Kim's buggy NEST-JA on Q2 with a replayable one-row
+   witness). *)
 
 module Ast = Sql.Ast
 module Value = Relalg.Value
 module Relation = Relalg.Relation
 module Catalog = Storage.Catalog
-module Plan = Exec.Plan
 module D = Analysis.Diagnostics
-module PC = Analysis.Plan_check
 module EQ = Analysis.Equiv_check
 module F = Workload.Fixtures
 
@@ -36,7 +34,7 @@ let contains ~needle hay =
 let test_json_report_envelope () =
   let diags =
     [
-      D.make "NQ110" (span 2 1) "unknown column X";
+      D.make "NQ900" (span 2 1) "unknown column X";
       D.make "NQ121" (span 1 1) "verified up to 2 rows";
     ]
   in
@@ -47,7 +45,7 @@ let test_json_report_envelope () =
   Alcotest.(check bool)
     "errors field" true
     (contains ~needle:{|"errors":true|} json);
-  (* the diagnostics array is sorted: NQ121 at 1:1 before NQ110 at 2:1 *)
+  (* the diagnostics array is sorted: NQ121 at 1:1 before NQ900 at 2:1 *)
   Alcotest.(check bool)
     "sorted payload" true
     (contains
@@ -60,11 +58,11 @@ let test_json_report_envelope () =
        (Relalg.Json.to_string (D.json_report [])))
 
 let test_diagnostic_sort_order () =
-  let d1 = D.make "NQ111" (span 3 1) "later position" in
+  let d1 = D.make "NQ901" (span 3 1) "later position" in
   let d2 = D.make "NQ121" (span 1 5) "info first position" in
-  let d3 = D.make "NQ110" (span 1 5) "error same position" in
+  let d3 = D.make "NQ900" (span 1 5) "error same position" in
   check_codes "position, then severity, then code"
-    [ "NQ110"; "NQ121"; "NQ111" ]
+    [ "NQ900"; "NQ121"; "NQ901" ]
     (D.sort [ d1; d2; d3 ])
 
 let test_analyze_all_sorted () =
@@ -89,164 +87,7 @@ let test_analyze_all_sorted () =
     "nondecreasing source positions" true
     (List.sort compare positions = positions)
 
-(* --- plan validation: hand-built violating plans ----------------------- *)
-
 let count_bug_catalog () = F.parts_supply_catalog F.Count_bug
-
-let plan_diags plan = PC.check_catalog (count_bug_catalog ()) plan
-
-let test_plan_unknown_table () =
-  check_codes "NQ110 unknown table" [ "NQ110" ]
-    (PC.check_catalog (count_bug_catalog ()) (Plan.Scan "NOPE"))
-
-let test_plan_unknown_column () =
-  let plan =
-    Plan.Filter
-      ( [ Ast.Cmp (Ast.Col (col "NOCOL"), Ast.Eq, Ast.Lit (Value.Int 1)) ],
-        Plan.Scan "PARTS" )
-  in
-  check_codes "NQ110 unresolved column" [ "NQ110" ] (plan_diags plan)
-
-let test_plan_type_mismatch () =
-  (* PNUM is int, SHIPDATE is date: the join condition cannot type. *)
-  let plan =
-    Plan.Join
-      {
-        method_ = Plan.Nested_loop;
-        kind = Plan.Inner;
-        cond = [ (col ~table:"PARTS" "PNUM", Ast.Eq,
-                  col ~table:"SUPPLY" "SHIPDATE") ];
-        residual = [];
-        left = Plan.Scan "PARTS";
-        right = Plan.Scan "SUPPLY";
-      }
-  in
-  check_codes "NQ111 join type mismatch" [ "NQ111" ] (plan_diags plan)
-
-let outer_join_parts_supply () =
-  Plan.Join
-    {
-      method_ = Plan.Nested_loop;
-      kind = Plan.Left_outer;
-      cond = [ (col ~table:"PARTS" "PNUM", Ast.Eq,
-                col ~table:"SUPPLY" "PNUM") ];
-      residual = [];
-      left = Plan.Scan "PARTS";
-      right = Plan.Scan "SUPPLY";
-    }
-
-let test_plan_count_star_over_outer_join () =
-  (* The §5.2.1 bug at the plan level: a star-COUNT above the preserving
-     join counts the padding row, so empty groups report 1. *)
-  let plan =
-    Plan.Hash_group_agg
-      {
-        group_by = [ col ~table:"PARTS" "PNUM" ];
-        aggs = [ { Plan.fn = Ast.Count_star; out_name = "CNT" } ];
-        input = outer_join_parts_supply ();
-      }
-  in
-  check_codes "NQ112 COUNT(*) above preserving join" [ "NQ112" ]
-    (plan_diags plan)
-
-let test_plan_count_preserved_column () =
-  (* COUNT over a left-side column: padding never makes it NULL. *)
-  let plan =
-    Plan.Hash_group_agg
-      {
-        group_by = [ col ~table:"PARTS" "PNUM" ];
-        aggs =
-          [ { Plan.fn = Ast.Count (col ~table:"PARTS" "QOH");
-              out_name = "CNT" } ];
-        input = outer_join_parts_supply ();
-      }
-  in
-  check_codes "NQ112 COUNT of non-nullable column" [ "NQ112" ]
-    (plan_diags plan)
-
-let test_plan_count_padded_column_ok () =
-  (* The correct NEST-JA2 shape: COUNT over a padded inner column. *)
-  let plan =
-    Plan.Hash_group_agg
-      {
-        group_by = [ col ~table:"PARTS" "PNUM" ];
-        aggs =
-          [ { Plan.fn = Ast.Count (col ~table:"SUPPLY" "SHIPDATE");
-              out_name = "CNT" } ];
-        input = outer_join_parts_supply ();
-      }
-  in
-  check_codes "COUNT over padded column is clean" [] (plan_diags plan)
-
-let test_plan_group_scoping () =
-  let plan =
-    Plan.Hash_group_agg
-      {
-        group_by = [ col "NOPE" ];
-        aggs = [ { Plan.fn = Ast.Count_star; out_name = "CNT" } ];
-        input = Plan.Scan "PARTS";
-      }
-  in
-  check_codes "NQ113 unresolved group key" [ "NQ113" ] (plan_diags plan)
-
-let test_plan_merge_sort_contract () =
-  (* Merge join whose left input is provably sorted on the wrong column. *)
-  let plan =
-    Plan.Join
-      {
-        method_ = Plan.Sort_merge;
-        kind = Plan.Inner;
-        cond = [ (col ~table:"PARTS" "PNUM", Ast.Eq,
-                  col ~table:"SUPPLY" "PNUM") ];
-        residual = [];
-        left = Plan.Sort ([ col ~table:"PARTS" "QOH" ], Plan.Scan "PARTS");
-        right = Plan.Sort ([ col ~table:"SUPPLY" "PNUM" ],
-                           Plan.Scan "SUPPLY");
-      }
-  in
-  check_codes "NQ114 merge join input sorted on wrong columns" [ "NQ114" ]
-    (plan_diags plan)
-
-let test_plan_hash_join_without_equality () =
-  let plan =
-    Plan.Join
-      {
-        method_ = Plan.Hash;
-        kind = Plan.Inner;
-        cond = [ (col ~table:"PARTS" "PNUM", Ast.Lt,
-                  col ~table:"SUPPLY" "PNUM") ];
-        residual = [];
-        left = Plan.Scan "PARTS";
-        right = Plan.Scan "SUPPLY";
-      }
-  in
-  check_codes "NQ115 hash join without equality" [ "NQ115" ]
-    (plan_diags plan)
-
-(* --- plan validation: everything the planner emits checks clean -------- *)
-
-let test_planner_output_checks_clean () =
-  let db = Fixtures.count_bug_db () in
-  List.iter
-    (fun text ->
-      match Core.parse db text with
-      | Error msg -> Alcotest.fail msg
-      | Ok _ -> (
-          match Core.transform db text with
-          | Error _ -> () (* refusals have no plans to check *)
-          | Ok program ->
-              check_codes
-                (Printf.sprintf "planner output clean: %s" text)
-                []
-                (Optimizer.Planner.check_program
-                   (Core.catalog db) program)))
-    [
-      Fixtures.count_bug_query;
-      Fixtures.max_quan_query;
-      F.query_q2_count_star;
-      "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY)";
-      "SELECT PNUM FROM PARTS WHERE QOH < 10 ORDER BY PNUM";
-    ]
 
 (* --- bounded counterexample search ------------------------------------- *)
 
@@ -352,23 +193,6 @@ let test_check_source_reports () =
             | _ -> false))
         reports
 
-(* --- the matrix under ~check: all 54 cells type-check ------------------ *)
-
-let test_matrix_check_clean () =
-  let case =
-    {
-      Oracle.Repro.tables =
-        [ ("PARTS", F.kiessling_parts); ("SUPPLY", F.kiessling_supply) ];
-      sql = Fixtures.count_bug_query;
-    }
-  in
-  let result = Oracle.Matrix.run_case ~check:true case in
-  Alcotest.(check (list string))
-    "no mismatches or plan-check failures" []
-    (Oracle.Matrix.describe result);
-  Alcotest.(check int) "all 54 cells ran" 54
-    (List.length result.Oracle.Matrix.outcomes)
-
 let suites =
   [
     ( "analysis-checker",
@@ -378,23 +202,6 @@ let suites =
         Alcotest.test_case "diagnostic sort order" `Quick
           test_diagnostic_sort_order;
         Alcotest.test_case "analyze_all sorted" `Quick test_analyze_all_sorted;
-        Alcotest.test_case "plan: unknown table" `Quick test_plan_unknown_table;
-        Alcotest.test_case "plan: unknown column" `Quick
-          test_plan_unknown_column;
-        Alcotest.test_case "plan: type mismatch" `Quick test_plan_type_mismatch;
-        Alcotest.test_case "plan: COUNT(*) over outer join" `Quick
-          test_plan_count_star_over_outer_join;
-        Alcotest.test_case "plan: COUNT of preserved column" `Quick
-          test_plan_count_preserved_column;
-        Alcotest.test_case "plan: COUNT of padded column ok" `Quick
-          test_plan_count_padded_column_ok;
-        Alcotest.test_case "plan: group scoping" `Quick test_plan_group_scoping;
-        Alcotest.test_case "plan: merge sort contract" `Quick
-          test_plan_merge_sort_contract;
-        Alcotest.test_case "plan: hash join equality contract" `Quick
-          test_plan_hash_join_without_equality;
-        Alcotest.test_case "planner output checks clean" `Quick
-          test_planner_output_checks_clean;
         Alcotest.test_case "equiv: refutes buggy NEST-JA on Q2" `Quick
           test_equiv_refutes_buggy_nest_ja;
         Alcotest.test_case "equiv: certifies guarded Q2" `Quick
@@ -405,7 +212,5 @@ let suites =
           test_check_query_refusal;
         Alcotest.test_case "check_source: report per query" `Quick
           test_check_source_reports;
-        Alcotest.test_case "matrix ~check: 49 cells clean" `Quick
-          test_matrix_check_clean;
       ] );
   ]

@@ -835,53 +835,94 @@ let test_planner_flat_queries_match_reference () =
 
 let test_plan_error_paths () =
   let catalog = F.parts_supply_catalog F.Count_bug in
-  let expect_plan_error f =
-    try
-      ignore (f ());
-      false
-    with Exec.Plan.Plan_error _ -> true
+  (* Malformed plans the executor itself refuses before it returns a row,
+     under either engine. *)
+  let expect_refused label plan =
+    List.iter
+      (fun (engine, run) ->
+        Alcotest.(check bool) (label ^ " rejected (" ^ engine ^ ")") true
+          (try
+             ignore (run catalog plan);
+             false
+           with
+           | Exec.Plan.Plan_error _ | Relalg.Schema.Not_found_column _
+           | Catalog.Unknown_table _
+           ->
+             true))
+      [ ("tuple", Exec.Plan.run ?observe:None);
+        ("vec", Exec.Plan.run_vec ?observe:None) ]
   in
+  let col = Sql.Ast.col in
+  let join method_ cond right =
+    Exec.Plan.Join
+      {
+        method_;
+        kind = Exec.Plan.Inner;
+        cond;
+        residual = [];
+        left = Exec.Plan.Scan "PARTS";
+        right;
+      }
+  in
+  let parts_pnum = col ~table:"PARTS" "PNUM"
+  and supply_pnum = col ~table:"SUPPLY" "PNUM" in
+  let unresolved_group group_agg =
+    group_agg
+      {
+        Exec.Plan.group_by = [ col "NOPE" ];
+        aggs = [ { Exec.Plan.fn = Sql.Ast.Count_star; out_name = "CNT" } ];
+        input = Exec.Plan.Scan "PARTS";
+      }
+  in
+  expect_refused "unknown table" (Exec.Plan.Scan "NOPE");
+  expect_refused "unknown column"
+    (Exec.Plan.Filter
+       ( [ Sql.Ast.Cmp
+             (Sql.Ast.Col (col "NOCOL"), Sql.Ast.Eq,
+              Sql.Ast.Lit (Value.Int 1)) ],
+         Exec.Plan.Scan "PARTS" ));
   (* nested predicate reaching the physical layer *)
-  Alcotest.(check bool) "nested predicate rejected" true
-    (expect_plan_error (fun () ->
-         Exec.Plan.run catalog
-           (Exec.Plan.Filter
-              ( [ Sql.Ast.Exists
-                    (Sql.Ast.query ~select:[ Sql.Ast.Sel_star ]
-                       ~from:[ Sql.Ast.from "SUPPLY" ] ~where:[] ()) ],
-                Exec.Plan.Scan "PARTS" ))));
-  (* sort-merge without an equality condition *)
-  Alcotest.(check bool) "merge without equality rejected" true
-    (expect_plan_error (fun () ->
-         Exec.Plan.run catalog
-           (Exec.Plan.Join
-              {
-                method_ = Exec.Plan.Sort_merge;
-                kind = Exec.Plan.Inner;
-                cond =
-                  [ ( Sql.Ast.col ~table:"PARTS" "PNUM",
-                      Sql.Ast.Lt,
-                      Sql.Ast.col ~table:"SUPPLY" "PNUM" ) ];
-                residual = [];
-                left = Exec.Plan.Scan "PARTS";
-                right = Exec.Plan.Scan "SUPPLY";
-              })));
-  (* index join without an index *)
-  Alcotest.(check bool) "index join without index rejected" true
-    (expect_plan_error (fun () ->
-         Exec.Plan.run catalog
-           (Exec.Plan.Join
-              {
-                method_ = Exec.Plan.Index_nl;
-                kind = Exec.Plan.Inner;
-                cond =
-                  [ ( Sql.Ast.col ~table:"PARTS" "PNUM",
-                      Sql.Ast.Eq,
-                      Sql.Ast.col ~table:"SUPPLY" "PNUM" ) ];
-                residual = [];
-                left = Exec.Plan.Scan "PARTS";
-                right = Exec.Plan.Scan "SUPPLY";
-              })));
+  expect_refused "nested predicate"
+    (Exec.Plan.Filter
+       ( [ Sql.Ast.Exists
+             (Sql.Ast.query ~select:[ Sql.Ast.Sel_star ]
+                ~from:[ Sql.Ast.from "SUPPLY" ] ~where:[] ()) ],
+         Exec.Plan.Scan "PARTS" ));
+  expect_refused "sorted group key unresolved"
+    (unresolved_group (fun g -> Exec.Plan.Group_agg g));
+  expect_refused "hash group key unresolved"
+    (unresolved_group (fun g -> Exec.Plan.Hash_group_agg g));
+  expect_refused "merge without equality"
+    (join Exec.Plan.Sort_merge
+       [ (parts_pnum, Sql.Ast.Lt, supply_pnum) ]
+       (Exec.Plan.Scan "SUPPLY"));
+  expect_refused "hash without equality"
+    (join Exec.Plan.Hash
+       [ (parts_pnum, Sql.Ast.Lt, supply_pnum) ]
+       (Exec.Plan.Scan "SUPPLY"));
+  expect_refused "index join without index"
+    (join Exec.Plan.Index_nl
+       [ (parts_pnum, Sql.Ast.Eq, supply_pnum) ]
+       (Exec.Plan.Scan "SUPPLY"));
+  expect_refused "band aggregate summing a date"
+    (Exec.Plan.Band_agg
+       {
+         kind = Exec.Plan.Inner;
+         cond = [ (parts_pnum, Sql.Ast.Lt, supply_pnum) ];
+         group_by = [ parts_pnum ];
+         aggs =
+           [ { Exec.Plan.fn = Sql.Ast.Sum (col ~table:"SUPPLY" "SHIPDATE");
+               out_name = "S" } ];
+         left = Exec.Plan.Sort ([ parts_pnum ], Exec.Plan.Scan "PARTS");
+         right = Exec.Plan.Scan "SUPPLY";
+       });
+  (* with the index in place, a null-safe probe is still refused: the
+     B-tree holds no NULL keys *)
+  Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
+  expect_refused "index join on <=>"
+    (join Exec.Plan.Index_nl
+       [ (parts_pnum, Sql.Ast.Eq_null, supply_pnum) ]
+       (Exec.Plan.Scan "SUPPLY"));
   (* planner refuses a query that still nests *)
   Alcotest.(check bool) "planner refuses nested query" true
     (try
